@@ -103,26 +103,6 @@ def _ordered(components: Sequence[int]) -> Sequence[int]:
     return components
 
 
-#: Shared scratch for the multi-component kernels (grown on demand).
-#: Placement never re-enters itself and the simulator is single-threaded,
-#: so one module-level buffer removes the per-attempt list allocations of
-#: the reference implementation.
-_scratch: list[int] = []
-
-
-def _fill_scratch(free: Sequence[int], n: int) -> list[int]:
-    # The module-level buffer is deliberate (see _scratch above): its
-    # contents are fully overwritten on every call before any read, so
-    # per-process copies can never diverge observably — only the
-    # capacity (an allocation detail) differs between processes.
-    scratch = _scratch
-    if len(scratch) < n:
-        scratch.extend(0 for _ in range(n - len(scratch)))  # simlint: disable=SIM008 -- capacity growth only; values rewritten below before use
-    for idx in range(n):
-        scratch[idx] = free[idx]  # simlint: disable=SIM008 -- scratch fully overwritten per call; no cross-call or cross-process state is read
-    return scratch
-
-
 def worst_fit(components: Sequence[int], free: Sequence[int]
               ) -> Optional[tuple[tuple[int, int], ...]]:
     """Worst Fit: each component goes to the emptiest feasible cluster.
@@ -149,7 +129,7 @@ def worst_fit(components: Sequence[int], free: Sequence[int]
         if best_idx < 0:
             return None
         return ((best_idx, comp),)
-    scratch = _fill_scratch(free, n)
+    scratch = list(free)  # per call: the service runs engines in threads
     assignment: list[tuple[int, int]] = []
     for comp in _ordered(components):
         best_idx = -1
@@ -180,7 +160,7 @@ def first_fit(components: Sequence[int], free: Sequence[int]
             if free[idx] >= comp:
                 return ((idx, comp),)
         return None
-    scratch = _fill_scratch(free, n)
+    scratch = list(free)
     assignment: list[tuple[int, int]] = []
     for comp in _ordered(components):
         for idx in range(n):
@@ -216,7 +196,7 @@ def best_fit(components: Sequence[int], free: Sequence[int]
         if best_idx < 0:
             return None
         return ((best_idx, comp),)
-    scratch = _fill_scratch(free, n)
+    scratch = list(free)
     assignment: list[tuple[int, int]] = []
     for comp in _ordered(components):
         best_idx = -1

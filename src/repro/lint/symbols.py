@@ -8,7 +8,7 @@ module handed to one lint run:
 
 * module-level **definitions** — functions, classes (with their
   methods), and assignments, each addressable by a dotted *qualified
-  name* (``repro.core.placement._fill_scratch``,
+  name* (``repro.core.placement.worst_fit``,
   ``repro.sim.engine.Simulator.step``);
 * **imports** — per module, a map from local alias to the qualified
   name it binds (``from .pool import execute as run`` →

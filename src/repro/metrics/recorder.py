@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from repro.sim.quantiles import QuantileSet
 from repro.sim.stats import BatchMeans, Tally, TimeWeighted
 
-from .slowdown import SlowdownTracker
+from .slowdown import DEFAULT_THRESHOLD, bounded_slowdown
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.jobs import Job
@@ -85,19 +85,11 @@ class MetricsRecorder:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self.capacity = capacity
         self.batch_size = batch_size
-        self._origin = 0.0
         self.busy_gross = TimeWeighted(name="busy.gross")
         self.busy_net_rate = TimeWeighted(name="busy.net-rate")
         self.in_system = TimeWeighted(name="jobs.in-system")
         self.waiting = TimeWeighted(name="jobs.waiting")
-        self.response = BatchMeans(batch_size, name="response")
-        self.response_local = Tally("response.local")
-        self.response_global = Tally("response.global")
-        self.response_quantiles = QuantileSet()
-        self.slowdowns = SlowdownTracker()
-        self.wait = Tally("wait")
-        self.arrivals = 0
-        self.completions = 0
+        self._open_window(0.0)
 
     # -- lifecycle hooks ------------------------------------------------------
 
@@ -123,8 +115,8 @@ class MetricsRecorder:
         self.busy_net_rate.add(time, -job.size / job.extension_factor)
         self.response.record(job.response_time)
         self.response_quantiles.record(job.response_time)
-        self.slowdowns.record_job(job)
-        self.wait.record(job.wait_time)
+        self.bounded_slowdowns.record(bounded_slowdown(
+            job.response_time, job.gross_service_time, DEFAULT_THRESHOLD))
         if global_queue:
             self.response_global.record(job.response_time)
         else:
@@ -134,17 +126,20 @@ class MetricsRecorder:
 
     def reset(self, time: float) -> None:
         """Discard the warmup transient; measurement restarts at ``time``."""
-        self._origin = time
         self.busy_gross.reset(time)
         self.busy_net_rate.reset(time)
         self.in_system.reset(time)
         self.waiting.reset(time)
+        self._open_window(time)
+
+    def _open_window(self, time: float) -> None:
+        # Only what report() reads: every accumulator costs each departure.
+        self._origin = time
         self.response = BatchMeans(self.batch_size, name="response")
         self.response_local = Tally("response.local")
         self.response_global = Tally("response.global")
-        self.response_quantiles = QuantileSet()
-        self.slowdowns.reset()
-        self.wait = Tally("wait")
+        self.response_quantiles = QuantileSet((0.5, 0.95))
+        self.bounded_slowdowns = Tally("bounded-slowdown")
         self.arrivals = 0
         self.completions = 0
 
@@ -172,7 +167,7 @@ class MetricsRecorder:
             ),
             response_p50=self.response_quantiles[0.5],
             response_p95=self.response_quantiles[0.95],
-            mean_bounded_slowdown=self.slowdowns.mean_bounded_slowdown,
+            mean_bounded_slowdown=self.bounded_slowdowns.mean,
             mean_jobs_in_system=self.in_system.mean(time),
             mean_jobs_waiting=self.waiting.mean(time),
             completed_jobs=self.completions,

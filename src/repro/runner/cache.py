@@ -12,7 +12,7 @@ Layout: one JSON file per task under ``.repro-cache/<key[:2]>/<key>.json``
 
 Integrity rules:
 
-* writes are atomic (temp file + ``os.replace``), so an aborted run can
+* writes are atomic (:func:`atomic_write_json`), so an aborted run can
   never leave a truncated entry behind;
 * a corrupted, truncated or schema-mismatched entry is *never* fatal —
   it falls through to recompute, surfacing one
@@ -23,8 +23,10 @@ Integrity rules:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
@@ -40,6 +42,7 @@ __all__ = [
     "CacheIntegrityWarning",
     "SCHEMA_TAG",
     "DEFAULT_CACHE_DIR",
+    "atomic_write_json",
 ]
 
 #: Versioned payload-shape tag; bump on incompatible changes.
@@ -47,6 +50,22 @@ SCHEMA_TAG = "repro.runner/1"
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+
+def atomic_write_json(path: Path, obj: object) -> None:
+    """Write ``obj`` as JSON to ``path`` via a unique sibling temp file and
+    ``os.replace``: no torn reads, no writer collisions, last one wins."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix="." + path.name,
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 class CacheIntegrityWarning(UserWarning):
@@ -126,17 +145,13 @@ class ResultCache:
         from repro.analysis.points import point_to_dict
 
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": SCHEMA_TAG,
             "key": key,
             "task": description,
             "point": point_to_dict(point),
         }
-        tmp = path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-        os.replace(tmp, path)
+        atomic_write_json(path, payload)
         self.stores += 1
 
     def stats(self) -> dict[str, int]:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -41,7 +40,7 @@ from typing import Optional, Sequence
 from repro.obs import progress as _progress
 from repro.obs.registry import REGISTRY
 
-from .cache import ResultCache
+from .cache import ResultCache, atomic_write_json
 from .task import RunTask, task_key
 
 __all__ = [
@@ -126,14 +125,6 @@ def sweep_manifest_path(cache_root: Path, campaign: str) -> Path:
     return Path(cache_root) / "sweeps" / f"{campaign}.json"
 
 
-def _write(manifest: SweepManifest, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=1, sort_keys=True)
-    os.replace(tmp, path)
-
-
 def load_campaign(store: ResultCache,
                   campaign: str) -> Optional[SweepManifest]:
     """The stored manifest for ``campaign``, or ``None``.
@@ -180,16 +171,12 @@ def record_ledger(store: ResultCache, campaign: str,
     from the plan, never fed back into task keys or payloads.
     """
     path = campaign_ledger_path(store.root, campaign)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": CAMPAIGN_LEDGER_SCHEMA,
         "campaign": campaign,
         "submission": submission,
     }
-    tmp = path.with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    os.replace(tmp, path)
+    atomic_write_json(path, payload)
 
 
 def load_ledger(store: ResultCache, campaign: str) -> Optional[dict]:
@@ -256,7 +243,8 @@ def begin_campaign(kind: str, label: str, tasks: Sequence[RunTask],
         REGISTRY.counter("runner.resume.campaigns").inc()
         REGISTRY.gauge("runner.resume.completed").set(done)
         REGISTRY.gauge("runner.resume.remaining").set(total - done)
-    _write(manifest, sweep_manifest_path(store.root, manifest.campaign))
+    atomic_write_json(sweep_manifest_path(store.root, manifest.campaign),
+                      manifest.to_dict())
     # Heartbeat for span recorders / dashboards: the campaign span
     # opens here and closes at finish_campaign.  Side-band only — no
     # subscriber means no work.
@@ -277,7 +265,8 @@ def finish_campaign(manifest: Optional[SweepManifest],
     if manifest is None or store is None:
         return manifest
     done = replace(manifest, status="complete", completed_points=points)
-    _write(done, sweep_manifest_path(store.root, done.campaign))
+    atomic_write_json(sweep_manifest_path(store.root, done.campaign),
+                      done.to_dict())
     _progress.notify("campaign-finish", done.campaign,
                      f"{done.kind} {done.label} ({points} points)")
     return done

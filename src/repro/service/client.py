@@ -19,7 +19,7 @@ import socket
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import BinaryIO, Iterator, Optional
 
 from repro.analysis.points import SweepPoint, point_from_dict
 from repro.obs.events import EVENT_SCHEMA
@@ -114,12 +114,13 @@ class CampaignStream:
     ``campaign-finish``).  Raises :class:`ServiceError` when the
     server sends an ``error`` event or the connection drops before the
     campaign finishes — a consumer that sees ``campaign-finish`` has
-    the whole campaign.
+    the whole campaign.  ``reader`` is the one the header was read by.
     """
 
-    def __init__(self, sock: socket.socket, campaign: str) -> None:
+    def __init__(self, sock: socket.socket, campaign: str,
+                 reader: BinaryIO) -> None:
         self._sock = sock
-        self._file = sock.makefile("rb")
+        self._file = reader
         self.campaign = campaign
         self.finished = False
 
@@ -196,30 +197,29 @@ class ServiceClient:
 
     def _stream(self, request: dict) -> CampaignStream:
         sock = _connect(self.socket_path, self.timeout)
+        # One reader for header and events: it may already buffer events.
+        reader = sock.makefile("rb")
         try:
-            sock.sendall(encode_line(request))
-            fh = sock.makefile("rb")
-            raw = fh.readline()
-            fh.close()
-            if not raw:
+            try:
+                sock.sendall(encode_line(request))
+                raw = reader.readline()
+                header = decode_line(raw) if raw else None
+            except (OSError, ProtocolError) as exc:
+                raise ServiceError(f"campaign request failed: "
+                                   f"{exc}") from None
+            if header is None:
                 raise ServiceError("service closed the connection "
                                    "without a stream header")
-            header = decode_line(raw)
+            if "error" in header:
+                raise ServiceError(str(header["error"]))
+            if (header.get("schema") != EVENT_SCHEMA
+                    or header.get("stream") != STREAM_SCHEMA):
+                raise ServiceError(f"unexpected stream header: {header}")
         except ServiceError:
+            reader.close()
             sock.close()
             raise
-        except (OSError, ProtocolError) as exc:
-            sock.close()
-            raise ServiceError(f"campaign request failed: "
-                               f"{exc}") from None
-        if "error" in header:
-            sock.close()
-            raise ServiceError(str(header["error"]))
-        if (header.get("schema") != EVENT_SCHEMA
-                or header.get("stream") != STREAM_SCHEMA):
-            sock.close()
-            raise ServiceError(f"unexpected stream header: {header}")
-        return CampaignStream(sock, str(header.get("campaign")))
+        return CampaignStream(sock, str(header.get("campaign")), reader)
 
     def submit(self, spec: dict) -> CampaignStream:
         """Submit a campaign spec; returns its event stream."""

@@ -1,8 +1,8 @@
 """The allocation-free placement kernels vs the reference greedy.
 
 The hot-path kernels in :mod:`repro.core.placement` (single linear scan
-over a reused scratch array, folded feasibility tests, single-component
-fast path) must make *exactly* the decisions of the original allocating
+over a per-call copy of the free counts, folded feasibility tests,
+single-component fast path) must make *exactly* the decisions of the original allocating
 implementation — assignments feed the obs event stream and the extras
 counters, so any divergence breaks byte-identity of runs.  Hypothesis
 drives both implementations through the same inputs, including unsorted
@@ -11,6 +11,10 @@ infeasible requests and degenerate shapes.
 """
 
 from __future__ import annotations
+
+import random
+import sys
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,9 +71,42 @@ def test_kernels_do_not_mutate_free(free, rule):
 )
 @settings(max_examples=100, deadline=None)
 def test_scratch_reuse_is_stateless_across_calls(a, b, free, rule):
-    # Back-to-back calls share one module-level scratch buffer; the
-    # second call must see none of the first call's markings.
+    # The second call must see none of the first call's markings.
     fn = PLACEMENT_RULES[rule]
     expected_b = REFERENCE_RULES[rule](b, free)
     fn(a, free)
     assert fn(b, free) == expected_b
+
+
+def test_concurrent_threads_place_independently():
+    # The sweep service runs several engines in threads of one process,
+    # so the kernels must keep no state shared between calls.
+    rng = random.Random(5)
+    cases = [(sorted((rng.randint(1, 32) for _ in range(rng.randint(2, 4))),
+                     reverse=True),
+              [rng.randint(0, 64) for _ in range(5)], rule)
+             for rule in RULES for _ in range(200)]
+    expected = [REFERENCE_RULES[rule](c, f) for c, f, rule in cases]
+    mismatches = []
+
+    def place(offset: int) -> None:
+        for _ in range(20):
+            for n in range(len(cases)):
+                c, f, rule = cases[(n + offset) % len(cases)]
+                got = PLACEMENT_RULES[rule](c, f)
+                if got != expected[(n + offset) % len(cases)]:
+                    mismatches.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=place, args=(k * 97,))
+                   for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []

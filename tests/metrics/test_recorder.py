@@ -1,11 +1,14 @@
 """Unit tests for the metrics recorder (utilization and response)."""
 
 import math
+import random
 
 import pytest
 
 from repro.core import Job
-from repro.metrics import MetricsRecorder
+from repro.metrics import MetricsRecorder, SlowdownTracker
+from repro.sim.quantiles import P2Quantile, QuantileSet
+from repro.sim.stats import BatchMeans, Tally, TimeWeighted
 from repro.workload import JobSpec
 
 
@@ -143,3 +146,176 @@ class TestReport:
 
         with pytest.raises(TypeError):
             UtilizationReport(bogus=1.0)
+
+
+class _ReferenceRecorder:
+    """The recorder as it was before it kept only what it reports: the
+    default P² ladder, a full :class:`SlowdownTracker` and a wait tally
+    on every departure.  ``MetricsRecorder`` must report the same."""
+
+    def __init__(self, capacity, batch_size=500):
+        self.capacity = capacity
+        self.batch_size = batch_size
+        self.busy_gross = TimeWeighted()
+        self.busy_net_rate = TimeWeighted()
+        self.in_system = TimeWeighted()
+        self.waiting = TimeWeighted()
+        self.reset(0.0)
+
+    def on_arrival(self, job, time):
+        self.in_system.add(time, 1.0)
+        self.waiting.add(time, 1.0)
+
+    def on_start(self, job, time):
+        self.waiting.add(time, -1.0)
+        self.busy_gross.add(time, job.size)
+        self.busy_net_rate.add(time, job.size / job.extension_factor)
+
+    def on_finish(self, job, time, *, global_queue=False):
+        self.completions += 1
+        self.in_system.add(time, -1.0)
+        self.busy_gross.add(time, -job.size)
+        self.busy_net_rate.add(time, -job.size / job.extension_factor)
+        self.response.record(job.response_time)
+        self.quantiles.record(job.response_time)
+        self.slowdowns.record_job(job)
+        self.wait.record(job.wait_time)
+        (self.response_global if global_queue
+         else self.response_local).record(job.response_time)
+
+    def reset(self, time):
+        self.origin = time
+        for signal in (self.busy_gross, self.busy_net_rate,
+                       self.in_system, self.waiting):
+            signal.reset(time)
+        self.response = BatchMeans(self.batch_size)
+        self.response_local = Tally()
+        self.response_global = Tally()
+        self.quantiles = QuantileSet()
+        self.slowdowns = SlowdownTracker()
+        self.wait = Tally()
+        self.completions = 0
+
+    def report(self, time):
+        elapsed = time - self.origin
+        denom = self.capacity * elapsed
+        return dict(
+            elapsed=elapsed,
+            gross_utilization=self.busy_gross.integral(time) / denom,
+            net_utilization=self.busy_net_rate.integral(time) / denom,
+            mean_response=self.response.mean,
+            response_ci_half_width=(
+                self.response.confidence_interval(0.95).half_width),
+            mean_response_local=self.response_local.mean,
+            mean_response_global=self.response_global.mean,
+            response_p50=self.quantiles[0.5],
+            response_p95=self.quantiles[0.95],
+            mean_bounded_slowdown=self.slowdowns.mean_bounded_slowdown,
+            mean_jobs_in_system=self.in_system.mean(time),
+            mean_jobs_waiting=self.waiting.mean(time),
+            completed_jobs=self.completions,
+        )
+
+
+def _lifecycle(seed, jobs=3000):
+    """A seeded, time-ordered ``(time, kind, job, global_queue)`` stream
+    of single- and multi-component jobs from local and global queues."""
+    rng = random.Random(seed)
+    events = []
+    arrival = 0.0
+    for index in range(jobs):
+        arrival += rng.expovariate(1 / 20.0)
+        parts = 1 if rng.random() < 0.5 else rng.randint(2, 4)
+        components = sorted((rng.randint(1, 32) for _ in range(parts)),
+                            reverse=True)
+        service = rng.choice((rng.uniform(0.5, 9.5),
+                              rng.expovariate(1 / 300.0)))
+        spec = JobSpec(index=index, size=sum(components),
+                       components=tuple(components), service_time=service,
+                       queue=rng.randrange(4))
+        j = Job(spec, arrival, 1.25)
+        start = arrival + (0.0 if rng.random() < 0.3
+                           else rng.expovariate(1 / 100.0))
+        finish = start + j.gross_service_time
+        global_queue = rng.random() < 0.4
+        events += [(arrival, 0, j, global_queue),
+                   (start, 1, j, global_queue),
+                   (finish, 2, j, global_queue)]
+    events.sort(key=lambda e: (e[0], e[1], e[2].spec.index))
+    return events
+
+
+def _replay(recorders, events, reset_after):
+    """Drive every recorder through ``events``; reset each once after
+    ``reset_after`` events and report before the reset and at the end."""
+    reports = []
+    for done, (time, kind, j, global_queue) in enumerate(events, 1):
+        if kind == 0:
+            for rec in recorders:
+                rec.on_arrival(j, time)
+        elif kind == 1:
+            j.start(time, [(c, n) for c, n in enumerate(j.components)])
+            for rec in recorders:
+                rec.on_start(j, time)
+        else:
+            j.finish(time)
+            for rec in recorders:
+                rec.on_finish(j, time, global_queue=global_queue)
+        if done == reset_after:
+            reports.append([rec.report(time) for rec in recorders])
+            for rec in recorders:
+                rec.reset(time)
+    end = events[-1][0] + 1.0
+    reports.append([rec.report(end) for rec in recorders])
+    return reports
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestReportedStatisticsOnly:
+    """The recorder keeps only the accumulators its report reads, and
+    every reported figure is bit-identical to the full recorder's."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_report_matches_the_full_recorder(self, seed):
+        events = _lifecycle(seed)
+        rec = MetricsRecorder(capacity=128, batch_size=50)
+        ref = _ReferenceRecorder(capacity=128, batch_size=50)
+        for got, want in _replay([rec, ref], events, len(events) // 2):
+            got = got.as_dict()
+            assert set(got) == set(want)
+            mismatched = {name: (got[name], want[name]) for name in got
+                          if not _same(got[name], want[name])}
+            assert not mismatched
+
+    def test_nan_fields_match_on_an_empty_breakdown(self):
+        # Only local-queue departures: the global mean is nan on both.
+        events = [e[:3] + (False,) for e in _lifecycle(4, jobs=200)]
+        rec = MetricsRecorder(capacity=128, batch_size=50)
+        ref = _ReferenceRecorder(capacity=128, batch_size=50)
+        [(got, want)] = _replay([rec, ref], events, 0)
+        assert math.isnan(got.mean_response_global)
+        assert all(_same(v, want[k]) for k, v in got.as_dict().items())
+
+    def test_one_departure_updates_two_quantile_estimators(
+            self, monkeypatch):
+        calls = []
+        real = P2Quantile.record
+
+        def counting(self, value):
+            calls.append(self.p)
+            real(self, value)
+
+        monkeypatch.setattr(P2Quantile, "record", counting)
+        rec = MetricsRecorder(capacity=128)
+        rec.reset(0.0)
+        j = job(size=64, components=(32, 32), service=100.0)
+        rec.on_arrival(j, 0.0)
+        j.start(0.0, [(0, 32), (1, 32)])
+        rec.on_start(j, 0.0)
+        j.finish(125.0)
+        assert calls == []
+        rec.on_finish(j, 125.0, global_queue=True)
+        assert sorted(calls) == [0.5, 0.95]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.runner import (
     execute,
     task_key,
 )
+from repro.runner.cache import atomic_write_json
 
 from .conftest import SERVICE, SIZES, small_config
 
@@ -133,3 +135,47 @@ class TestCorruptionRecompute:
             recomputed = sweep("GS", config, SIZES, SERVICE, (0.35, 0.5),
                                workers=1, cache=ResultCache(cache.root))
         assert recomputed.points == cold.points
+
+
+class TestAtomicWrite:
+    """Every cache, manifest and ledger write goes through
+    :func:`atomic_write_json`: one staged, uniquely named temp file per
+    write, so concurrent writers of one path never collide."""
+
+    def test_concurrent_writers_of_one_path_all_succeed(self, tmp_path):
+        path = tmp_path / "sweeps" / "campaign.json"
+        payloads = [{"writer": n, "pad": "x" * 4096} for n in range(8)]
+        errors = []
+
+        def write(payload):
+            try:
+                for _ in range(25):
+                    atomic_write_json(path, payload)
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(p,))
+                   for p in payloads]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert json.loads(path.read_text()) in payloads
+        assert [p.name for p in path.parent.iterdir()] == ["campaign.json"]
+
+    def test_text_matches_the_cache_format(self, tmp_path):
+        path = tmp_path / "entry.json"
+        obj = {"b": [1, 2.5], "a": {"z": None}}
+        atomic_write_json(path, obj)
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            obj, indent=1, sort_keys=True)
+
+    def test_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "entry.json"
+        atomic_write_json(path, {"old": 1})
+        with pytest.raises(TypeError):
+            atomic_write_json(path, {"new": object()})
+        assert json.loads(path.read_text()) == {"old": 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
