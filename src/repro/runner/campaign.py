@@ -216,7 +216,9 @@ def match_campaigns(store: ResultCache, prefix: str) -> list[str]:
 
 
 def begin_campaign(kind: str, label: str, tasks: Sequence[RunTask],
-                   store: Optional[ResultCache]) -> Optional[SweepManifest]:
+                   store: Optional[ResultCache],
+                   keys: Optional[Sequence[str]] = None
+                   ) -> Optional[SweepManifest]:
     """Record the planned task set before the first submission.
 
     Returns ``None`` when no cache is active (a campaign without a
@@ -226,10 +228,15 @@ def begin_campaign(kind: str, label: str, tasks: Sequence[RunTask],
     ``runner.resume.completed`` / ``runner.resume.remaining`` gauges
     are set from the cache, so observability shows exactly how much
     work the restart skipped.
+
+    ``keys`` are the tasks' :func:`~repro.runner.task.task_key` values
+    when the caller already derived them; omitted, they are derived
+    here.
     """
     if store is None:
         return None
-    keys = [task_key(t) for t in tasks]
+    if keys is None:
+        keys = [task_key(t) for t in tasks]
     manifest = SweepManifest(
         campaign=campaign_key(kind, label, keys),
         kind=kind,

@@ -95,24 +95,24 @@ class TaskBroker:
     async def point_for(self, task: RunTask, key: str) -> _Resolution:
         """Resolve one task: cache hit, join in-flight, or execute.
 
-        The await on an in-flight computation is shielded — a
-        cancelled client never cancels work other clients (or the
-        cache) will want.
+        The cache probe is one small file read and runs on the loop:
+        nothing yields between the in-flight check, the probe and the
+        claim, so no concurrent campaign can claim the key in between,
+        and the cells of a campaign reach the fleet semaphore in the
+        order they were requested.  The await on an in-flight
+        computation is shielded — a cancelled client never cancels work
+        other clients (or the cache) will want.
         """
         existing = self.inflight.get(key)
         if existing is None:
-            hit = await asyncio.to_thread(self.store.load, key)
-            # The cache probe yielded the loop: someone may have
-            # started this key meanwhile.
-            existing = self.inflight.get(key)
-            if existing is None:
-                if hit is not None:
-                    self.counters["tasks.hit"] += 1
-                    _progress.notify("hit", key, task.describe())
-                    return hit, "hit"
-                handle = asyncio.create_task(self._compute(task, key))
-                self._register(key, handle)
-                return await asyncio.shield(handle), "computed"
+            hit = self.store.load(key)
+            if hit is not None:
+                self.counters["tasks.hit"] += 1
+                _progress.notify("hit", key, task.describe())
+                return hit, "hit"
+            handle = asyncio.create_task(self._compute(task, key))
+            self._register(key, handle)
+            return await asyncio.shield(handle), "computed"
         self.counters["tasks.deduped"] += 1
         return await asyncio.shield(existing), "deduped"
 
@@ -136,23 +136,20 @@ class TaskBroker:
                 continue
             existing = self.inflight.get(key)
             if existing is None:
-                hit = await asyncio.to_thread(self.store.load, key)
-                existing = self.inflight.get(key)
-                if existing is None:
-                    if hit is not None:
-                        self.counters["tasks.hit"] += 1
-                        _progress.notify("hit", key, task.describe())
-                        resolved[key] = ("hit", hit)
-                        continue
-                    # Claim the key *before* the next cache probe can
-                    # yield the loop, or a concurrent campaign could
-                    # claim it too and the task would run twice.
-                    future = loop.create_future()
-                    self._register(key, future)
-                    futures[key] = future
-                    fresh.append((task, key))
-                    resolved[key] = ("computed", future)
+                hit = self.store.load(key)
+                if hit is not None:
+                    self.counters["tasks.hit"] += 1
+                    _progress.notify("hit", key, task.describe())
+                    resolved[key] = ("hit", hit)
                     continue
+                # Claimed with no await since the in-flight check (see
+                # point_for), so the task cannot run twice.
+                future = loop.create_future()
+                self._register(key, future)
+                futures[key] = future
+                fresh.append((task, key))
+                resolved[key] = ("computed", future)
+                continue
             self.counters["tasks.deduped"] += 1
             resolved[key] = ("deduped", existing)
         if fresh:

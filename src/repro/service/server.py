@@ -258,7 +258,7 @@ class ServiceServer:
         pump_task = asyncio.create_task(pump())
         try:
             manifest = await asyncio.to_thread(
-                self._open_campaign, spec, campaign, tasks)
+                self._open_campaign, spec, campaign, tasks, keys)
             await emit("campaign-begin", campaign=campaign,
                        campaign_kind=spec["kind"], label=spec["label"],
                        planned=len(keys))
@@ -281,10 +281,11 @@ class ServiceServer:
                 await pump_task
 
     def _open_campaign(self, spec: dict, campaign: str,
-                       tasks: "list[RunTask]") -> Optional[SweepManifest]:
+                       tasks: "list[RunTask]",
+                       keys: "list[str]") -> Optional[SweepManifest]:
         record_ledger(self.store, campaign, spec)
         return begin_campaign(spec["kind"], spec["label"], tasks,
-                              self.store)
+                              self.store, keys)
 
     async def _stream_points(self, spec: dict,
                              tasks: "Sequence[RunTask]",

@@ -17,6 +17,7 @@ Two construction paths are provided, mirroring how the authors worked:
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -44,25 +45,47 @@ __all__ = [
 ]
 
 
+@functools.cache
 def das_s_128() -> DiscreteEmpirical:
-    """The DAS-s-128 total-job-size distribution (full log)."""
+    """The DAS-s-128 total-job-size distribution (full log).
+
+    Memoized: every call returns one shared, process-wide instance,
+    which callers must treat as immutable.  No method of the
+    distribution changes it after ``__init__``, so sharing it across
+    callers and threads is safe; two threads racing on the first call
+    both build the same value.
+    """
     values = sorted(stats_model.SIZE_TABLE)
     weights = [float(stats_model.SIZE_TABLE[v]) for v in values]
     return DiscreteEmpirical(values, weights)
 
 
+@functools.cache
 def das_s_64() -> DiscreteEmpirical:
     """The DAS-s-64 size distribution: DAS-s-128 cut at 64 and
-    renormalised (paper §2.4 — the cut removes ~2% of the jobs)."""
+    renormalised (paper §2.4 — the cut removes ~2% of the jobs).
+
+    Memoized like :func:`das_s_128`: one shared, immutable instance per
+    process, safe across threads (a racing first call builds the same
+    value twice).
+    """
     return das_s_128().truncate(stats_model.DAS_S_64_CUT)
 
 
+@functools.cache
 def das_t_900(moment_seed: int = 0) -> Distribution:
     """The DAS-t-900 service-time distribution (log cut at 900 s).
 
     Reconstruction: a lognormal body conditioned on (0, 900] plus a
     uniform mass pushed against the working-hours kill limit — the shape
     of the paper's Figure 2.  See ``stats_model`` for parameter choices.
+
+    Memoized on ``moment_seed``: the body's truncated moments come from
+    200,000 Monte Carlo draws, so each seed is built once per process
+    and every later call returns the same shared instance, which
+    callers must treat as immutable.  No method changes it after
+    ``__init__``, so sharing it across threads is safe; two threads
+    racing on the first call both build the same value.
     """
     body = TruncatedLognormal(
         Lognormal(mean=stats_model.SERVICE_BODY_MEAN,

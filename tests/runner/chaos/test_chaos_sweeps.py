@@ -18,6 +18,7 @@ import pytest
 
 from repro.analysis.io import save_sweep
 from repro.analysis.sweeps import sweep, sweep_tasks
+from repro.obs import progress
 from repro.obs.registry import REGISTRY
 from repro.runner import (
     ResultCache,
@@ -102,19 +103,44 @@ class TestTransientStorm:
         REGISTRY.reset()
         plan_fault(fault_plan, Fault(key=keys[0], kind="crash"))
         plan_fault(fault_plan, Fault(key=keys[1], kind="transient"))
-        survived = sweep("LS", config, SIZES, SERVICE, GRID, workers=2,
-                         retry=RetryPolicy(max_attempts=3, **FAST))
+        # The pool round (0 = first) in which the runner saw the
+        # transient task's failed attempt, if it saw one.
+        transient_rounds: list[int] = []
+
+        def probe(kind: str, key: str, _description: str) -> None:
+            if kind == "attempt-failed" and key == keys[1]:
+                transient_rounds.append(
+                    REGISTRY.counter("runner.workers.replaced").value)
+
+        progress.subscribe(probe)
+        try:
+            survived = sweep("LS", config, SIZES, SERVICE, GRID,
+                             workers=2,
+                             retry=RetryPolicy(max_attempts=3, **FAST))
+        finally:
+            progress.unsubscribe(probe)
 
         assert payload(survived) == payload(baseline)
         assert len(fired_faults(fault_plan)) == 2
-        # Whether the transient's exception outraces the crash breaking
-        # the pool is a kernel-level race: it either consumes a retry or
-        # the task is rescheduled free with the broken round.  Between
-        # them the two faults account for exactly two re-executions.
+        # The crash of task 0 always costs one retry and breaks round 0.
+        # Task 1 races it, with three outcomes (all seen, in 20 repeated
+        # runs: 7, 8 and 5 times):
+        #   * its worker claimed the transient fault and the exception
+        #     reached the runner before the pool broke: one retry in
+        #     round 0, nothing rescheduled (retries 2, rescheduled 0);
+        #   * it claimed the fault but the exception was lost with the
+        #     broken pool: rescheduled free, runs clean in round 1
+        #     (retries 1, rescheduled 1);
+        #   * no worker had started it when the pool broke: rescheduled
+        #     free, then the fault fires on its first real attempt in
+        #     round 1 and costs a retry (retries 2, rescheduled 1).
+        # The last case counts nothing twice: ``rescheduled`` counts a
+        # submission lost with the pool, ``retries`` a failed attempt.
         retried = REGISTRY.counter("runner.retries").value
         rescheduled = REGISTRY.counter("runner.tasks.rescheduled").value
-        assert retried >= 1
-        assert retried + rescheduled == 2
+        assert transient_rounds in ([], [0], [1])
+        assert retried == 1 + len(transient_rounds)
+        assert rescheduled == (0 if transient_rounds == [0] else 1)
         assert REGISTRY.counter("runner.timeouts").value == 0
 
 

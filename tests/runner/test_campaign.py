@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import repro.runner.campaign as campaign_module
 from repro.obs.registry import REGISTRY
 from repro.runner import (
     ResultCache,
@@ -86,6 +87,20 @@ class TestBeginFinish:
         path = sweep_manifest_path(store.root, manifest.campaign)
         assert path.is_file()
         assert load_campaign(store, manifest.campaign) == manifest
+
+    def test_given_keys_are_used_without_rederiving(self, tmp_path,
+                                                    monkeypatch):
+        store = ResultCache(tmp_path / "cache")
+        tasks = make_tasks()
+        keys = task_keys(tasks)
+        derived = begin_campaign("sweep", "GS", tasks, store)
+
+        def no_derivation(task):
+            raise AssertionError("begin_campaign re-derived a task key")
+
+        monkeypatch.setattr(campaign_module, "task_key", no_derivation)
+        given = begin_campaign("sweep", "GS", tasks, store, keys)
+        assert given == derived
 
     def test_finish_marks_complete_with_point_count(self, tmp_path):
         store = ResultCache(tmp_path / "cache")

@@ -1,5 +1,7 @@
 """Tests for the canonical and trace-derived workload distributions."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,37 @@ class TestTraceDerived:
 def test_workload_registry():
     assert set(WORKLOADS) == {"das-s-128", "das-s-64"}
     assert WORKLOADS["das-s-128"]().mean > WORKLOADS["das-s-64"]().mean
+
+
+class TestMemoizedBuilders:
+    """The canonical builders return one shared instance per process,
+    and sharing it changes no task key: the memoized object pickles to
+    the same bytes as a freshly built one."""
+
+    @staticmethod
+    def pickled(dist) -> bytes:
+        # The task-key fingerprint's pinned pickle protocol.
+        return pickle.dumps(dist, protocol=4)
+
+    def test_das_t_900_is_shared_per_seed(self):
+        assert das_t_900() is das_t_900()
+        assert das_t_900(1) is das_t_900(1)
+        assert das_t_900(1) is not das_t_900(0)
+
+    @pytest.mark.parametrize("builder", [das_s_128, das_s_64, das_t_900],
+                             ids=lambda b: b.__name__)
+    def test_shared_instance_pickles_like_a_fresh_build(self, builder):
+        shared = builder()
+        assert builder() is shared
+        fresh = builder.__wrapped__()
+        assert fresh is not shared
+        assert self.pickled(shared) == self.pickled(fresh)
+
+    def test_sampling_leaves_the_shared_instance_unchanged(self):
+        for builder in (das_s_128, das_s_64, das_t_900):
+            shared = builder()
+            before = self.pickled(shared)
+            rng = np.random.default_rng(3)
+            shared.sample(rng)
+            shared.sample_array(rng, 100)
+            assert self.pickled(shared) == before, builder.__name__
