@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Batch-backend throughput benchmark: lockstep replications vs scalar.
+"""Batch-backend throughput benchmark: lane-kernel replications vs scalar.
 
-Measures, per policy, how fast the lockstep batch backend
+Measures, per policy, how fast the batch backend
 (``repro.sim.batch``) completes a width-N replication sweep of one
 configuration against the scalar engine running the same N seeds
 sequentially — the exact substitution ``replicate_sweep(...,
@@ -144,7 +144,7 @@ def _run_scalar(config: SimulationConfig, rate: float,
 
 def _run_batch(config: SimulationConfig, rate: float, rho: float,
                seeds: list[int]) -> dict:
-    """All seeds in one lockstep kernel."""
+    """All seeds as lanes of one kernel."""
     sizes = WORKLOADS["das-s-128"]()
     service = das_t_900()
     start = time.perf_counter()

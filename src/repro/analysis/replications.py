@@ -128,7 +128,7 @@ def replicate_sweep(label: str, config: SimulationConfig,
     byte-identical at every worker count.
 
     ``backend="batch"`` fuses the whole study — every seed's chain of
-    grid points — into lockstep lane-kernel calls
+    grid points — into lane-kernel calls
     (:func:`~repro.runner.fused.execute_fused`): each seed advances
     through the grid as a lane chain, stopping at its own saturation
     point, while other seeds' lanes keep the kernel busy.  Exactly the
@@ -183,8 +183,8 @@ def _replicated_runs(label: str, config: SimulationConfig,
     full seeds × grid plan is recorded as a campaign manifest so an
     interrupted replication study resumes from its last completed run.
 
-    Under ``backend="batch"`` the whole study fuses into lockstep
-    lane-kernel calls: every seed starts a lane at the first grid
+    Under ``backend="batch"`` the whole study fuses into lane-kernel
+    calls: every seed starts a lane at the first grid
     point, and each completed point chains the seed's *next* grid
     point into the freed slot unless the seed saturated or exhausted
     the grid — exactly the serial task set, scheduled by lane

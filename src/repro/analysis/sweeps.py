@@ -15,10 +15,10 @@ on-disk result cache (``cache=True``); see :mod:`repro.runner` and
 therefore the returned curve — is byte-identical to a serial run.
 
 Under ``backend="batch"`` (or ``"auto"`` resolving to it) the whole
-grid instead runs as *fused lanes* of one lockstep kernel call
+grid instead runs as *fused lanes* of one lane-kernel call
 (:func:`~repro.runner.fused.execute_fused`): every grid point is a
-lane with its own arrival rate, finished lanes retire early and their
-slots refill from the remaining grid.  Each point is still
+lane with its own arrival rate; lanes run to retirement in grid order
+and their slots refill from the remaining grid.  Each point is still
 checkpointed under its own task key, and the returned curve is
 byte-identical to the scalar engine's.
 """
@@ -177,7 +177,7 @@ def sweep(label: str, config: SimulationConfig, size_distribution,
         same inputs.
     backend:
         Simulation engine: ``"scalar"`` (default), ``"batch"`` (the
-        lockstep lane kernel — statistically identical, cached under
+        batch lane kernel — statistically identical, cached under
         distinct keys), or ``"auto"`` (batch when numpy is available
         and the grid is wide enough; see
         :func:`~repro.sim.backend.resolve_backend`).  The batch path

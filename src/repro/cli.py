@@ -163,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--backend", default="scalar",
                          choices=["scalar", "batch", "auto"],
                          help="simulation engine: the scalar event "
-                              "loop, the lockstep numpy batch "
-                              "kernel (identical statistics, cached "
+                              "loop, the batch lane kernel "
+                              "(identical statistics, cached "
                               "under distinct keys; batch needs "
                               "numpy — pip install repro[batch]), or "
                               "auto to pick batch whenever numpy is "
@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "point (seeds seed, seed+1000, ...); "
                               "N>1 aggregates across-seed confidence "
                               "intervals, where the batch backend "
-                              "advances all seeds in lockstep")
+                              "runs all seeds as lanes of one "
+                              "kernel")
     sweep_p.add_argument("--resume", action="store_true",
                          help="resume an interrupted sweep: forces the "
                               "result cache on, reports how many grid "

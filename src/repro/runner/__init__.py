@@ -10,9 +10,9 @@ through this package:
 * :func:`execute` — serial or process-pool execution with results
   collected in task order, so output never depends on scheduling;
 * :func:`execute_fused` (:mod:`repro.runner.fused`) — the batch-backend
-  counterpart: heterogeneous tasks fused into lockstep lane-kernel
-  calls, retiring and refilling lanes, with the same per-task cache
-  checkpoints and progress heartbeats;
+  counterpart: heterogeneous tasks fused into lane-kernel calls,
+  retiring and refilling lanes in task order, with the same per-task
+  cache checkpoints and progress heartbeats;
 * :class:`RetryPolicy` — per-task retries with deterministic
   exponential backoff, a campaign-wide retry budget
   (:class:`RetryBudget`) and per-task wall-clock timeouts with worker

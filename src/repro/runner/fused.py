@@ -5,10 +5,10 @@
 :class:`~repro.runner.task.RunTask`\\ s — different loads, seeds,
 component limits, run lengths — and runs every task sharing a *kernel
 shape* (policy, placement, capacities, workload distributions) as
-lanes of one :class:`~repro.sim.batch.BatchLaneKernel`, retiring
-finished lanes early and refilling their slots from the pending list.
-A 42-point policy grid becomes one kernel call instead of 42 scalar
-runs.
+lanes of one :class:`~repro.sim.batch.BatchLaneKernel`: each kernel
+step runs the earliest-loaded lane to retirement, and its slot refills
+from the pending list.  A 42-point policy grid becomes one kernel call
+instead of 42 scalar runs.
 
 The runner contracts are preserved exactly:
 
@@ -22,6 +22,9 @@ The runner contracts are preserved exactly:
 * **per-task progress** — the ``hit``/``start``/``finish`` heartbeats
   fire per task, so the progress display and span recorder see the
   same campaign shape;
+* **task order** — lanes retire in load order, which is task order
+  within a kernel shape, so ``on_result`` streams fresh points in the
+  order their tasks were given;
 * **bit-identical results** — lanes never interact, so a task's point
   is independent of which tasks share its kernel call, of slot
   assignment, and of refill order; the differential-oracle and
@@ -59,10 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 
 __all__ = ["DEFAULT_FUSED_WIDTH", "execute_fused", "fused_eligible"]
 
-#: Default kernel width (concurrent lanes).  Wide enough to amortize
-#: the lockstep select/statistics columns over a full policy grid;
-#: beyond ~32 lanes the per-event Python fast path dominates and extra
-#: width only adds memory.
+#: Default kernel width (loaded lanes).  Speed does not depend on it —
+#: one lane runs at a time — but each loaded lane holds its first
+#: prefetch chunk of jobs, so extra width only adds memory.
 DEFAULT_FUSED_WIDTH = 32
 
 #: ``follow_up(task, key, point)`` → more tasks to enqueue (or None).

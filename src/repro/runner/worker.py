@@ -64,7 +64,7 @@ def run_task(task: RunTask) -> SweepPoint:
     """Execute one open-system run and return its curve point.
 
     ``task.backend`` selects the engine: the scalar event loop
-    (default) or the lockstep batch kernel at width 1.  Both produce
+    (default) or the batch lane kernel at width 1.  Both produce
     identical statistics for the same task — the backend only changes
     *how* the point is computed — but cache keys keep them apart (see
     :func:`~repro.runner.task.task_key`).

@@ -2,7 +2,7 @@
 
 The harness ships two engines with contractually identical statistics:
 the scalar event engine (:mod:`repro.sim.engine`, always available)
-and the lockstep batch kernel (:mod:`repro.sim.batch`, requires numpy
+and the batch lane kernel (:mod:`repro.sim.batch`, requires numpy
 — the ``[batch]`` extra).  This module owns the *selection* logic so
 every entry point — :func:`~repro.analysis.sweeps.sweep`,
 :func:`~repro.analysis.replications.replicate_sweep`, the CLI —
@@ -18,9 +18,8 @@ resolves a requested backend the same way:
   batch kernel on a model it cannot run is a caller bug, not an
   environment limitation;
 * ``"auto"`` — picks ``"batch"`` when numpy is importable, the model
-  is supported, and the campaign is wide enough
-  (:data:`AUTO_MIN_WIDTH` lanes) for the lockstep kernel's fan-out to
-  pay for its fixed overhead; else ``"scalar"``.
+  is supported, and the campaign is at least :data:`AUTO_MIN_WIDTH`
+  lanes wide; else ``"scalar"``.
 
 Resolution happens *before* any :class:`~repro.runner.task.RunTask` is
 built, so the resolved backend — never the literal ``"auto"`` — lands
@@ -46,8 +45,10 @@ __all__ = [
 
 #: Minimum campaign width (grid points × replications for a sweep,
 #: replications for a replication study) at which ``"auto"`` picks the
-#: batch kernel.  Below it the lockstep columns amortize over too few
-#: lanes to beat the scalar engine reliably.
+#: batch kernel.  The kernel's speed does not depend on width (one lane
+#: runs at a time); the threshold stays only because the resolved
+#: backend is part of the task key, so changing it would re-key narrow
+#: campaigns.
 AUTO_MIN_WIDTH = 4
 
 #: The policy/placement surface the batch kernel implements
@@ -92,7 +93,7 @@ def resolve_backend(backend: str,
     """Resolve a requested backend to ``"scalar"`` or ``"batch"``.
 
     ``width`` is the campaign's lane count — how many independent runs
-    could share one lockstep kernel (grid points for a sweep, seeds
+    could share one lane kernel (grid points for a sweep, seeds
     for a replication study).  ``config``/``size_distribution`` gate
     the ``"auto"`` choice on model support; pass ``None`` to skip that
     check.  Deterministic for a fixed environment, so a resumed

@@ -1,16 +1,14 @@
-"""Lockstep batch backend: N heterogeneous lanes, one struct-of-arrays sim.
+"""Batch backend: N heterogeneous lanes in one kernel, run one at a time.
 
 Campaigns run many configurations — replication seeds, utilization
-grids, component-limit ladders — that share one policy.  The scalar
-engine advances one event calendar at a time; this backend holds the
-*lockstep* state of N such runs ("lanes") as numpy columns — the
-clock, the pending-arrival and earliest-departure select columns, and
-every metric accumulator — while each lane's policy state (queues,
-free processors, the running-job calendar, the queue ring) lives in
-plain per-lane Python containers sized for the per-event scalar work
-(see the fast-path section of :class:`BatchLaneKernel`).  One
-Python-level step advances every lane: the select and the departure
-statistics vectorize across lanes, the policy decisions run per lane.
+grids, component-limit ladders — that share one policy.  This backend
+holds N such runs ("lanes") in one :class:`BatchLaneKernel`.  Each
+lane's whole state — its queues, free processors, running-job
+calendar, queue ring, metric accumulators and run control — is one
+:class:`_Lane` record of plain Python floats, ints and containers;
+numpy only draws each lane's workload in prefetch-sized chunks.
+:meth:`BatchLaneKernel.step` takes the earliest-loaded lane and runs
+its event loop until the lane retires.
 
 Lanes are *heterogeneous*: each carries its own arrival rate, seed,
 warmup/measured-job targets, batch size, component limit, extension
@@ -22,11 +20,11 @@ extension factors, routing CDF) are shared through interned
 :class:`_LaneProfile` objects keyed by the lane parameters that shape
 them.
 
-Lanes terminate raggedly; a finished lane is *retired* — dropped from
-the active mask and queued for :meth:`BatchLaneKernel.drain_retired`
-— and its slot can be *refilled* with a fresh configuration via
-:meth:`BatchLaneKernel.load`, so short-rho lanes don't idle while
-rho=0.9 lanes drain.  The fused sweep executor
+A finished lane is *retired* — queued for
+:meth:`BatchLaneKernel.drain_retired` — and its slot can be
+*refilled* with a fresh configuration via :meth:`BatchLaneKernel.load`.
+Lanes retire in load order, so a driver that loads tasks in order
+receives their points in order.  The fused sweep executor
 (:func:`repro.runner.fused.execute_fused`) drives exactly this
 load/step/retire cycle over a whole campaign grid.
 
@@ -51,13 +49,13 @@ exactly.  That holds because
   and the LS/LP queue ring is carried as per-lane visit/disabled
   lists whose order equals the scalar
   :class:`~repro.core.queues.QueueRing` lists;
-* metric columns apply the exact float-operation order of
+* the metric accumulators apply the exact float-operation order of
   :class:`~repro.sim.stats.TimeWeighted`, Welford's update and the
-  batch-means CI (elementwise float64 IEEE ops are identical to the
-  scalar Python-float ops).  The gross and net accumulators share one
-  fused ``(N, 2)`` column pair: the scalar recorder always updates
-  both at the same event times, so their ``last`` timestamps are
-  provably equal and the area accruals are the same float products.
+  batch-means CI on Python floats, the same IEEE doubles the scalar
+  recorder uses.  The gross and net accumulators share one ``last``
+  timestamp: the scalar recorder always updates both at the same
+  event times, so their timestamps are provably equal and the area
+  accruals are the same float products.
 * lanes never interact — no shared queues, streams or statistics — so
   a lane's results are independent of which other lanes share the
   kernel, of slot position, and of when its slot was (re)loaded.
@@ -110,9 +108,6 @@ __all__ = [
     "run_batch_points",
     "run_batch_task",
 ]
-
-#: Event-sequence sentinel for idle lanes (sorts after any real eid).
-_HUGE_EID = np.iinfo(np.int64).max
 
 _INF = float("inf")
 
@@ -269,18 +264,77 @@ def _make_scalar_sampler(dist: Distribution) -> Optional[_ScalarSampler]:
     return single_sampler
 
 
+class _Lane:
+    """The whole state of one loaded lane, in plain Python values.
+
+    Run parameters, the event state (job tuples, free processors per
+    cluster, the running-job calendar heap, the event-sequence
+    counter, the next-arrival cursor and its ``(time, sequence)``
+    key), the policy queues and the fused busy-gross / busy-net
+    time-weighted accumulators that every start and departure update.
+    The departure-only statistics live in :meth:`BatchLaneKernel.step`
+    locals, since one call runs the lane from load to retirement.
+    """
+
+    __slots__ = ("prof", "streams", "mean_iat", "offered", "bsize",
+                 "warm_tgt", "total_tgt",
+                 "jobs", "free", "heap", "eid", "next_job", "na_t",
+                 "na_eid",
+                 "q", "qs", "visit", "disabled", "enabled",
+                 "g_val", "n_val", "g_area", "n_area", "last")
+
+    def __init__(self, prof: _LaneProfile, config: SimulationConfig,
+                 rate: float, offered: float, nq: int) -> None:
+        self.prof = prof
+        self.streams = _LaneStreams(int(config.seed))
+        self.mean_iat = 1.0 / rate
+        self.offered = offered
+        self.bsize = int(config.batch_size)
+        self.warm_tgt = int(config.warmup_jobs)
+        self.total_tgt = int(config.warmup_jobs + config.measured_jobs)
+        self.jobs: list[tuple] = []
+        self.free = [int(cap) for cap in config.capacities]
+        self.heap: list[_HeapItem] = []
+        # After the urgent arrival-process init event at t=0 the scalar
+        # engine has consumed sequence numbers 1 (init) and 2 (first
+        # tick); every later event is NORMAL rank, so ordering reduces
+        # to (time, sequence number).
+        self.eid = 2
+        self.next_job = 0
+        self.na_t = _INF
+        self.na_eid = 2
+        if nq:
+            #: Queues: LS one local queue per cluster (queue index ==
+            #: cluster index); LP index 0 is the global queue, 1..C
+            #: the locals (cluster == queue index - 1).  Then the
+            #: scalar QueueRing's two lists: enabled queues in
+            #: enablement order and disabled queues in disablement
+            #: order, plus the per-queue enabled flag.
+            self.qs: list[deque[int]] = [deque() for _ in range(nq)]
+            self.visit = list(range(nq))
+            self.disabled: list[int] = []
+            self.enabled = [True] * nq
+        else:
+            #: GS/SC: the single FCFS queue of job indices.
+            self.q: deque[int] = deque()
+        self.g_val = 0.0
+        self.n_val = 0.0
+        self.g_area = 0.0
+        self.n_area = 0.0
+        self.last = 0.0
+
+
 class BatchLaneKernel:
-    """The struct-of-arrays simulation state and its step loop.
+    """N lane slots of one kernel shape and their event loop.
 
     Construction fixes the *kernel shape* — policy, placement,
     capacities, the two workload distributions and the slot count
-    (``width``) — and allocates every column with all slots inactive.
-    :meth:`load` arms one slot with a lane configuration (seed, rate,
-    limits, run-length targets); :meth:`step` advances every active
-    lane by one lockstep event round; lanes that reach their
-    completion target retire themselves, and :meth:`drain_retired`
-    yields their finished :class:`~repro.analysis.points.SweepPoint`
-    so the slot can be refilled.
+    (``width``).  :meth:`load` arms one slot with a lane configuration
+    (seed, rate, limits, run-length targets); :meth:`step` runs the
+    earliest-loaded lane until it reaches its completion target and
+    retires; :meth:`drain_retired` yields the finished
+    :class:`~repro.analysis.points.SweepPoint` so the slot can be
+    refilled.
     """
 
     def __init__(self, config: SimulationConfig,
@@ -308,8 +362,7 @@ class BatchLaneKernel:
         self.size_distribution = size_distribution
         self.service_distribution = service_distribution
 
-        n = int(width)
-        self.n = n
+        self.n = int(width)
         caps = tuple(int(cap) for cap in config.capacities)
         self.capacities = caps
         self.n_clusters = len(caps)
@@ -334,103 +387,34 @@ class BatchLaneKernel:
                                  else _make_scalar_sampler(
                                      service_distribution))
 
-        # -- per-lane draw state and parameters ---------------------------
-        self._streams: list[Optional[_LaneStreams]] = [None] * n
-        self._prof: list[Optional[_LaneProfile]] = [None] * n
-        self._mean_iat = [0.0] * n
-        self._offered = [0.0] * n
-        self._bsize = np.zeros(n, dtype=np.int64)
-        self._warm_tgt = np.zeros(n, dtype=np.int64)
-        self._total_tgt = np.zeros(n, dtype=np.int64)
-
-        # -- event state --------------------------------------------------
-        # After the urgent arrival-process init event at t=0 the scalar
-        # engine has consumed sequence numbers 1 (init) and 2 (first
-        # tick); every later event is NORMAL rank, so ordering reduces
-        # to (time, sequence number).
-        self.now = np.zeros(n, dtype=np.float64)
-        self.na_eid = np.full(n, 2, dtype=np.int64)
-        self.na_t = np.full(n, _INF, dtype=np.float64)
         #: GS/SC run one global FCFS queue; LS/LP the visiting rounds
-        #: over the queue ring.  Both as per-lane Python containers.
+        #: over a ring of ``_nq`` queues.
         self._single = policy in ("GS", "SC")
-
-        # Per-lane Python containers (see the fast-path section): job
-        # tuples, free processors per cluster, the running-job calendar
-        # heap, the event-sequence counter, the next-arrival cursor.
-        self._jobs_py: list[list[tuple]] = [[] for _ in range(n)]
-        self._free_py = [[0] * self.n_clusters for _ in range(n)]
-        self._heaps: list[list[_HeapItem]] = [[] for _ in range(n)]
-        self._eid_py = [2] * n
-        self._next_job_py = [0] * n
-        # The select columns mirroring each lane's heap top.
-        self._dmin_t = np.full(n, _INF, dtype=np.float64)
-        self._dmin_eid = np.full(n, _HUGE_EID, dtype=np.int64)
+        self._nq = (0 if self._single else self.n_clusters if policy == "LS"
+                    else self.n_clusters + 1)
         self._place_cache: dict[
             tuple[int, ...],
             Optional[tuple[tuple[int, int], ...]]] = {}
         self._place_cap = int(place_cache_cap)
         #: Evictions this kernel performed on the bounded memo.
         self.place_evictions = 0
-        self._after_dep: Callable[[int, float, int], int]
-        self._burst: Callable[[int, float], None]
-        if self._single:
-            #: The single FCFS queue of job indices per lane.
-            self._q: list[deque[int]] = [deque() for _ in range(n)]
-            self._after_dep = self._lane_drain
-            self._burst = self._arrival_burst
-        else:
-            #: Queues per lane: LS one local queue per cluster (queue
-            #: index == cluster index); LP index 0 is the global queue,
-            #: 1..C the locals (cluster == queue index - 1).
-            self._nq = self.n_clusters if policy == "LS" else (
-                self.n_clusters + 1)
-            self._qs: list[list[deque[int]]] = [
-                [deque() for _ in range(self._nq)] for _ in range(n)]
-            # The scalar QueueRing's two lists, per lane: enabled
-            # queues in enablement order and disabled queues in
-            # disablement order, plus the per-queue enabled flag.
-            self._visit = [list(range(self._nq)) for _ in range(n)]
-            self._disabled: list[list[int]] = [[] for _ in range(n)]
-            self._enabled = [[True] * self._nq for _ in range(n)]
-            self._after_dep = (self._lane_departure_ls if policy == "LS"
-                               else self._lane_departure_lp)
-            self._burst = self._arrival_burst_ring
-
-        # -- metric columns (exact scalar float-op order) ------------------
-        # Fused busy-gross / busy-net time-weighted accumulators:
-        # column 0 gross, column 1 net.  Both scalar tallies are updated
-        # at identical event times, so one shared ``last`` column holds.
-        self.m_val = np.zeros((n, 2), dtype=np.float64)
-        self.m_area = np.zeros((n, 2), dtype=np.float64)
-        self.m_last = np.zeros(n, dtype=np.float64)
-        self.origin = np.zeros(n, dtype=np.float64)
-        self.resp_cnt = np.zeros(n, dtype=np.int64)
-        self.resp_mean = np.zeros(n, dtype=np.float64)
-        self.batch_sum = np.zeros(n, dtype=np.float64)
-        self.in_batch = np.zeros(n, dtype=np.int64)
-        self.b_cnt = np.zeros(n, dtype=np.int64)
-        self.b_mean = np.zeros(n, dtype=np.float64)
-        self.b_m2 = np.zeros(n, dtype=np.float64)
-
-        # -- run control --------------------------------------------------
-        self.finished = np.zeros(n, dtype=np.int64)
-        self.active = np.zeros(n, dtype=bool)
-        self.end_time = np.zeros(n, dtype=np.float64)
-        self.backlog_reset = np.zeros(n, dtype=np.int64)
-        self.backlog_end = np.zeros(n, dtype=np.int64)
-        self.reset_done = np.ones(n, dtype=bool)
-        #: Number of currently active lanes (maintained by load/retire).
-        self.active_lanes = 0
-        #: Slots whose lane finished and awaits :meth:`drain_retired`.
-        self._retired: list[int] = []
+        #: Active ``(slot, lane)`` pairs in load order.
+        self._order: deque[tuple[int, _Lane]] = deque()
+        #: Finished ``(slot, point)`` pairs awaiting
+        #: :meth:`drain_retired`.
+        self._retired: list[tuple[int, SweepPoint]] = []
 
     # -- lane lifecycle ----------------------------------------------------
 
     @property
+    def active_lanes(self) -> int:
+        """Number of loaded lanes that have not retired yet."""
+        return len(self._order)
+
+    @property
     def idle(self) -> bool:
         """True when no lane is active (every slot loadable/drained)."""
-        return self.active_lanes == 0
+        return not self._order
 
     def _profile_for(self, config: SimulationConfig) -> _LaneProfile:
         """Intern the workload tables for this lane's shape parameters."""
@@ -488,7 +472,8 @@ class BatchLaneKernel:
         """
         if not 0 <= slot < self.n:
             raise BatchBackendError(f"slot {slot} out of range 0..{self.n-1}")
-        if self.active[slot] or slot in self._retired:
+        if any(s == slot for s, _ in self._order) or any(
+                s == slot for s, _ in self._retired):
             raise BatchBackendError(f"slot {slot} is not free")
         if config.policy.upper() != self.policy:
             raise BatchBackendError(
@@ -514,79 +499,29 @@ class BatchLaneKernel:
                 float(offered_gross), self.capacity
             )
         rate = float(arrival_rate)
-        self._prof[slot] = prof
-        self._mean_iat[slot] = 1.0 / rate
-        self._offered[slot] = prof.factory.offered_gross_utilization(
-            rate, self.capacity
-        )
-        self._bsize[slot] = int(config.batch_size)
-        self._warm_tgt[slot] = int(config.warmup_jobs)
-        self._total_tgt[slot] = int(config.warmup_jobs
-                                    + config.measured_jobs)
-        self._streams[slot] = _LaneStreams(int(config.seed))
-
-        # Per-lane containers back to their scalar t=0 state.
-        self._jobs_py[slot] = []
-        self._free_py[slot] = [int(cap) for cap in self.capacities]
-        self._heaps[slot] = []
-        self._eid_py[slot] = 2
-        self._next_job_py[slot] = 0
-        self.now[slot] = 0.0
-        self.na_eid[slot] = 2
-        self._dmin_t[slot] = _INF
-        self._dmin_eid[slot] = _HUGE_EID
-        if self._single:
-            self._q[slot] = deque()
-        else:
-            self._qs[slot] = [deque() for _ in range(self._nq)]
-            self._visit[slot] = list(range(self._nq))
-            self._disabled[slot] = []
-            self._enabled[slot] = [True] * self._nq
-
-        self.m_val[slot] = 0.0
-        self.m_area[slot] = 0.0
-        self.m_last[slot] = 0.0
-        self.origin[slot] = 0.0
-        self.resp_cnt[slot] = 0
-        self.resp_mean[slot] = 0.0
-        self.batch_sum[slot] = 0.0
-        self.in_batch[slot] = 0
-        self.b_cnt[slot] = 0
-        self.b_mean[slot] = 0.0
-        self.b_m2[slot] = 0.0
-
-        self.finished[slot] = 0
-        self.end_time[slot] = 0.0
-        self.backlog_reset[slot] = 0
-        self.backlog_end[slot] = 0
-        # warmup_jobs == 0: the scalar run resets at t=0 before any
-        # event, which is exactly the initial column state.
-        self.reset_done[slot] = config.warmup_jobs == 0
-
-        self._generate_chunk(slot)
-        self.na_t[slot] = self._jobs_py[slot][0][0]
-        self.active[slot] = True
-        self.active_lanes += 1
+        lane = _Lane(prof, config, rate,
+                     prof.factory.offered_gross_utilization(
+                         rate, self.capacity),
+                     self._nq)
+        self._generate_chunk(lane)
+        lane.na_t = lane.jobs[0][0]
+        self._order.append((slot, lane))
 
     def drain_retired(self) -> "list[tuple[int, SweepPoint]]":
         """Finished lanes since the last drain, as ``(slot, point)``
         pairs in retirement order.  Drained slots are free for
         :meth:`load`."""
-        if not self._retired:
-            return []
-        out = [(slot, self._point(slot)) for slot in self._retired]
-        self._retired.clear()
+        out = self._retired
+        self._retired = []
         return out
 
     # -- workload generation ---------------------------------------------
 
-    def _generate_chunk(self, lane: int) -> None:
+    def _generate_chunk(self, lane: _Lane) -> None:
         """Draw one prefetch block of jobs for ``lane`` in scalar order."""
         n = DEFAULT_DRAW_BATCH
-        streams = self._streams[lane]
-        assert streams is not None
-        prof = self._prof[lane]
-        assert prof is not None
+        streams = lane.streams
+        prof = lane.prof
         size_dist = self.size_distribution
         service_dist = self.service_distribution
         # Sizes: block draws only when provably stream-equivalent —
@@ -609,7 +544,7 @@ class BatchLaneKernel:
                             for _ in range(n)], dtype=np.float64)
         u = streams.routing.random(n)
         queues = np.searchsorted(prof.route_cdf, u, side="right")
-        iat = streams.iat.exponential(self._mean_iat[lane], n)
+        iat = streams.iat.exponential(lane.mean_iat, n)
         # Sequential accumulation: the scalar engine chains ``now +
         # delay`` one float add at a time; np.cumsum may pairwise-sum,
         # which rounds differently.
@@ -630,8 +565,7 @@ class BatchLaneKernel:
         if self._single:
             # GS/SC ignore the routing draw (consumed above for stream
             # parity): (arrival, gross service, net size, total size).
-            self._jobs_py[lane].extend(
-                zip(arr.tolist(), gross, net, sizes.tolist()))
+            lane.jobs.extend(zip(arr.tolist(), gross, net, sizes.tolist()))
             return
         # LS/LP append the routing decision: (..., destination queue,
         # multi-component flag).  LS routes every job to its origin
@@ -642,24 +576,11 @@ class BatchLaneKernel:
             qid = queues % self.n_clusters
         else:
             qid = np.where(multi, 0, 1 + queues % self.n_clusters)
-        self._jobs_py[lane].extend(
+        lane.jobs.extend(
             zip(arr.tolist(), gross, net, sizes.tolist(),
                 qid.tolist(), multi.tolist()))
 
-    # -- the per-lane Python fast path ---------------------------------------
-    #
-    # At realistic loads each step touches a handful of lanes, so
-    # per-call numpy dispatch (microseconds per vector op) dominates
-    # the actual work of small-vector updates.  Each lane therefore
-    # carries the state only *it* touches — its queues, free
-    # processors, the running-job calendar heap, the queue ring, the
-    # sequence counter — in plain Python containers (deque / list /
-    # heap), and numpy columns remain only where the lockstep step
-    # genuinely vectorizes: the (time, sequence) select and the
-    # departure statistics.  Python floats are the same IEEE doubles
-    # as the float64 columns and every float operation keeps the exact
-    # scalar-engine order, so the statistics are bit-identical; only
-    # the bookkeeping representation changes.
+    # -- placement, starts and the GS/SC policy ------------------------------
 
     def _place_single(self, prof: _LaneProfile, free: list[int],
                       size: int) -> Optional[tuple[tuple[int, int], ...]]:
@@ -679,8 +600,8 @@ class BatchLaneKernel:
         evicted entry yields the identical tuple, so the cap never
         changes results.  Distinct keys number in the hundreds of
         thousands per campaign, so the miss path stays a plain Python
-        scan — at width 1 the numpy kernel's dispatch overhead is ~10x
-        the work.
+        scan — for one placement the numpy kernel's dispatch overhead
+        is ~10x the work.
         """
         key = (prof.pid, size, *free)
         cache = self._place_cache
@@ -714,46 +635,40 @@ class BatchLaneKernel:
         cache[key] = result
         return result
 
-    def _start_single(self, lane: int, job: int, now: float, eid: int,
+    def _start_single(self, lane: _Lane, job: int, now: float, eid: int,
                       alloc: tuple[tuple[int, int], ...]) -> float:
         """Commit one start on ``lane``; returns the departure time."""
-        jt = self._jobs_py[lane][job]
+        jt = lane.jobs[job]
         arr_t = jt[0]
         gross = jt[1]
         net = jt[2]
         size = jt[3]
-        free = self._free_py[lane]
+        free = lane.free
         for ci, comp in alloc:
             free[ci] -= comp
         dep_t = now + gross
-        heappush(self._heaps[lane], (dep_t, eid, arr_t, size, net, alloc))
-        # The fused TimeWeighted add, in Python floats (same IEEE
-        # doubles, same operation order as the scalar recorder).
-        m_val = self.m_val
-        mflat = lane * 2
-        v0 = m_val.item(mflat)
-        v1 = m_val.item(mflat + 1)
-        last = self.m_last.item(lane)
+        heappush(lane.heap, (dep_t, eid, arr_t, size, net, alloc))
+        # The fused TimeWeighted add (same operation order as the
+        # scalar recorder).
+        last = lane.last
         if now != last:  # simlint: disable=SIM002 -- zero-width accrual adds exactly +0.0; eliding it is bit-exact
-            m_area = self.m_area
             a_dt = now - last
-            m_area[lane, 0] = m_area.item(mflat) + v0 * a_dt
-            m_area[lane, 1] = m_area.item(mflat + 1) + v1 * a_dt
-            self.m_last[lane] = now
-        m_val[lane, 0] = v0 + size
-        m_val[lane, 1] = v1 + net
+            lane.g_area += lane.g_val * a_dt
+            lane.n_area += lane.n_val * a_dt
+            lane.last = now
+        lane.g_val += size
+        lane.n_val += net
         return dep_t
 
-    def _lane_drain(self, lane: int, now: float, eid: int) -> int:
+    def _lane_drain(self, lane: _Lane, now: float, eid: int) -> int:
         """Start queued jobs on ``lane`` while its head fits (GS/SC
         departure rule); returns the updated sequence counter."""
-        q = self._q[lane]
+        q = lane.q
         if not q:
             return eid
-        jobs = self._jobs_py[lane]
-        free = self._free_py[lane]
-        prof = self._prof[lane]
-        assert prof is not None
+        jobs = lane.jobs
+        free = lane.free
+        prof = lane.prof
         while q:
             head = q[0]
             alloc = self._place_single(prof, free, jobs[head][3])
@@ -764,28 +679,26 @@ class BatchLaneKernel:
             self._start_single(lane, head, now, eid, alloc)
         return eid
 
-    def _arrival_burst(self, lane: int, dmin: float) -> None:
+    def _arrival_burst(self, lane: _Lane, dmin: float) -> None:
         """Process the lane's due arrival plus every later arrival that
         strictly precedes the lane's earliest departure (GS/SC).
 
         While no departure can interleave, each arrival is either a
         pure push (non-empty queue: the head is already known not to
         fit) or an immediate-start attempt on an empty queue, so the
-        whole stretch runs as one Python loop instead of one global
-        step per arrival.  An immediate start elides the scalar's
+        whole stretch runs as one Python loop instead of one select
+        per arrival.  An immediate start elides the scalar's
         push-then-pop (net queue state is identical).  A start pulls
         ``dmin`` in; an arrival tying it exactly stops the burst and
         returns to the (time, sequence) select, which owns tie-breaks.
         """
-        eid = self._eid_py[lane]
-        job = self._next_job_py[lane]
-        jobs = self._jobs_py[lane]
-        q = self._q[lane]
-        free = self._free_py[lane]
-        prof = self._prof[lane]
-        assert prof is not None
-        t = float(self.na_t.item(lane))
-        started = False
+        eid = lane.eid
+        job = lane.next_job
+        jobs = lane.jobs
+        q = lane.q
+        free = lane.free
+        prof = lane.prof
+        t = lane.na_t
         while True:
             if q:
                 q.append(job)
@@ -795,7 +708,6 @@ class BatchLaneKernel:
             else:
                 eid += 1
                 dep_t = self._start_single(lane, job, t, eid, alloc)
-                started = True
                 if dep_t < dmin:
                     dmin = dep_t
             # ArrivalProcess._tick: schedule the next arrival one
@@ -808,32 +720,26 @@ class BatchLaneKernel:
             if t_next >= dmin:
                 break
             t = t_next
-        self._eid_py[lane] = eid
-        self._next_job_py[lane] = job
-        self.now[lane] = t
-        self.na_eid[lane] = eid
-        self.na_t[lane] = t_next
-        if started:
-            top = self._heaps[lane][0]
-            self._dmin_t[lane] = top[0]
-            self._dmin_eid[lane] = top[1]
+        lane.eid = eid
+        lane.next_job = job
+        lane.na_eid = eid
+        lane.na_t = t_next
 
     # -- LS / LP: the visiting rounds over the queue ring -------------------
 
-    def _lane_rounds_ls(self, lane: int, now: float, eid: int) -> int:
+    def _lane_rounds_ls(self, lane: _Lane, now: float, eid: int) -> int:
         """LSPolicy._rounds on one lane: visit the enabled queues in
         enablement order (snapshot per pass), start at most one job per
         queue per pass, disable a queue whose head does not fit, repeat
         while any pass started something.  Returns the updated
         sequence counter."""
-        qs = self._qs[lane]
-        visit = self._visit[lane]
-        disabled = self._disabled[lane]
-        enabled = self._enabled[lane]
-        jobs = self._jobs_py[lane]
-        free = self._free_py[lane]
-        prof = self._prof[lane]
-        assert prof is not None
+        qs = lane.qs
+        visit = lane.visit
+        disabled = lane.disabled
+        enabled = lane.enabled
+        jobs = lane.jobs
+        free = lane.free
+        prof = lane.prof
         progress = True
         while progress:
             progress = False
@@ -864,20 +770,19 @@ class BatchLaneKernel:
                     progress = True
         return eid
 
-    def _lane_rounds_lp(self, lane: int, now: float, eid: int) -> int:
+    def _lane_rounds_lp(self, lane: _Lane, now: float, eid: int) -> int:
         """LPPolicy._rounds on one lane.  As LS, plus the local-priority
         gate: the global queue (index 0) is *skipped* — not disabled —
         unless some local queue is empty, evaluated live at each visit;
         and a start that empties a local queue while the global queue
         is disabled re-enables the global queue mid-round (§2.5)."""
-        qs = self._qs[lane]
-        visit = self._visit[lane]
-        disabled = self._disabled[lane]
-        enabled = self._enabled[lane]
-        jobs = self._jobs_py[lane]
-        free = self._free_py[lane]
-        prof = self._prof[lane]
-        assert prof is not None
+        qs = lane.qs
+        visit = lane.visit
+        disabled = lane.disabled
+        enabled = lane.enabled
+        jobs = lane.jobs
+        free = lane.free
+        prof = lane.prof
         nq = self._nq
         progress = True
         while progress:
@@ -916,29 +821,29 @@ class BatchLaneKernel:
                     visit.append(0)
         return eid
 
-    def _lane_departure_ls(self, lane: int, now: float, eid: int) -> int:
+    def _lane_departure_ls(self, lane: _Lane, now: float, eid: int) -> int:
         """LSPolicy.on_departure: enable_all (disablement order), then
         rounds."""
-        disabled = self._disabled[lane]
+        disabled = lane.disabled
         if disabled:
-            enabled = self._enabled[lane]
+            enabled = lane.enabled
             for qid in disabled:
                 enabled[qid] = True
-            self._visit[lane].extend(disabled)
+            lane.visit.extend(disabled)
             disabled.clear()
         return self._lane_rounds_ls(lane, now, eid)
 
-    def _lane_departure_lp(self, lane: int, now: float, eid: int) -> int:
+    def _lane_departure_lp(self, lane: _Lane, now: float, eid: int) -> int:
         """LPPolicy.on_departure: enable_all(global_first=True) when
         some local queue is empty — the global queue re-enables ahead
         of the locals — otherwise enable_all(skip_global=True), the
         global queue staying disabled (re-appended to the disabled
         list, as the scalar ring does); then rounds."""
-        qs = self._qs[lane]
-        disabled = self._disabled[lane]
+        qs = lane.qs
+        disabled = lane.disabled
         if disabled:
-            enabled = self._enabled[lane]
-            visit = self._visit[lane]
+            enabled = lane.enabled
+            visit = lane.visit
             some_local_empty = False
             for i in range(1, self._nq):
                 if not qs[i]:
@@ -963,7 +868,7 @@ class BatchLaneKernel:
                     disabled.append(0)
         return self._lane_rounds_lp(lane, now, eid)
 
-    def _arrival_burst_ring(self, lane: int, dmin: float) -> None:
+    def _arrival_burst_ring(self, lane: _Lane, dmin: float) -> None:
         """The LS/LP arrival burst: process the lane's due arrival plus
         every later arrival that strictly precedes the lane's earliest
         departure.
@@ -979,16 +884,16 @@ class BatchLaneKernel:
         start a job nor change ring state.)  A start pulls ``dmin``
         in; an arrival tying it exactly stops the burst and returns to
         the (time, sequence) select, which owns tie-breaks."""
-        eid = self._eid_py[lane]
-        job = self._next_job_py[lane]
-        jobs = self._jobs_py[lane]
-        qs = self._qs[lane]
-        enabled = self._enabled[lane]
-        heap = self._heaps[lane]
+        eid = lane.eid
+        job = lane.next_job
+        jobs = lane.jobs
+        qs = lane.qs
+        enabled = lane.enabled
+        heap = lane.heap
         ls = self.policy == "LS"
         rounds = self._lane_rounds_ls if ls else self._lane_rounds_lp
         nq = self._nq
-        t = float(self.na_t.item(lane))
+        t = lane.na_t
         while True:
             jt = jobs[job]
             qid = jt[4]
@@ -1018,200 +923,141 @@ class BatchLaneKernel:
             if t_next >= dmin:
                 break
             t = t_next
-        self._eid_py[lane] = eid
-        self._next_job_py[lane] = job
-        self.now[lane] = t
-        self.na_eid[lane] = eid
-        self.na_t[lane] = t_next
-        if heap:
-            top = heap[0]
-            self._dmin_t[lane] = top[0]
-            self._dmin_eid[lane] = top[1]
+        lane.eid = eid
+        lane.next_job = job
+        lane.na_eid = eid
+        lane.na_t = t_next
 
-    # -- event processing --------------------------------------------------
+    # -- the per-lane event loop ---------------------------------------------
 
-    def _finish_block(self, idx: "np.ndarray", t: "np.ndarray",
-                      arr_t: "np.ndarray", meta2: "np.ndarray") -> None:
-        """MetricsRecorder.on_finish for one departure per lane, field
-        for field (in_system and the diagnostic tallies never reach
-        SweepPoint and are omitted).  ``meta2`` holds the fused
-        [gross size, net size] pair per lane."""
-        dt = t - self.m_last[idx]
-        self.m_area[idx] += self.m_val[idx] * dt[:, None]
-        self.m_last[idx] = t
-        self.m_val[idx] -= meta2
-        resp = t - arr_t
-        cnt = self.resp_cnt[idx] + 1
-        self.resp_cnt[idx] = cnt
-        self.resp_mean[idx] += (resp - self.resp_mean[idx]) / cnt
-        bsum = self.batch_sum[idx] + resp
-        self.batch_sum[idx] = bsum
-        in_b = self.in_batch[idx] + 1
-        self.in_batch[idx] = in_b
-        closing = in_b == self._bsize[idx]
-        if closing.any():
-            rows = idx[closing]
-            bval = bsum[closing] / self._bsize[rows]
-            bc = self.b_cnt[rows] + 1
-            self.b_cnt[rows] = bc
-            bdelta = bval - self.b_mean[rows]
-            bmean = self.b_mean[rows] + bdelta / bc
-            self.b_mean[rows] = bmean
-            self.b_m2[rows] += bdelta * (bval - bmean)
-            self.in_batch[rows] = 0
-            self.batch_sum[rows] = 0.0
-        self.finished[idx] += 1
-
-    def _departures(self, idx: "np.ndarray") -> None:
-        """One departure per lane: per-lane pops and releases, the
-        vectorized statistics block, then the per-lane policy reaction
-        (GS/SC: the FCFS drain; LS/LP: ring re-enables plus rounds).
-
-        The scalar event order is release + on_finish first, the
-        policy's start attempts second; the statistics block therefore
-        runs *between* the two Python loops so each lane's
-        metric-update sequence matches the scalar engine's exactly.
-        The subsequent starts happen at the departure time the block
-        just accrued to, so their TimeWeighted adds are the
-        elided-zero-width case of ``_start_single``."""
-        heaps = self._heaps
-        free_py = self._free_py
-        lanes = idx.tolist()
-        times = []
-        arrs = []
-        metas = []
-        for lane in lanes:
-            dep_t, _, arr_t, size, net, alloc = heappop(heaps[lane])
-            times.append(dep_t)
-            arrs.append(arr_t)
-            metas.append((size, net))
-            free = free_py[lane]
-            for ci, comp in alloc:
-                free[ci] += comp
-        t = np.array(times, dtype=np.float64)
-        self.now[idx] = t
-        self._finish_block(idx, t, np.array(arrs, dtype=np.float64),
-                           np.array(metas, dtype=np.float64))
-        eid_py = self._eid_py
-        dmin_t = self._dmin_t
-        dmin_eid = self._dmin_eid
-        after_dep = self._after_dep
-        for i, lane in enumerate(lanes):
-            eid_py[lane] = after_dep(lane, times[i], eid_py[lane])
-            heap = heaps[lane]
-            if heap:
-                top = heap[0]
-                dmin_t[lane] = top[0]
-                dmin_eid[lane] = top[1]
-            else:
-                dmin_t[lane] = _INF
-                dmin_eid[lane] = _HUGE_EID
-
-    def _backlog(self, rows: "np.ndarray") -> "np.ndarray":
-        """Total queued jobs per lane (the saturation-estimate input)."""
+    def _backlog(self, lane: _Lane) -> int:
+        """Total queued jobs (the saturation-estimate input)."""
         if self._single:
-            return np.array([len(self._q[lane]) for lane in rows.tolist()],
-                            dtype=np.int64)
-        return np.array([sum(map(len, self._qs[lane]))
-                         for lane in rows.tolist()], dtype=np.int64)
-
-    def _post_departure(self, idx: "np.ndarray") -> None:
-        """Warmup reset / termination — the scalar ``run_while``
-        predicates, checked after the full departure event.  A lane
-        reaching its completion target retires: it leaves the active
-        mask and queues for :meth:`drain_retired`."""
-        done_jobs = self.finished[idx]
-        crossing = ((done_jobs == self._warm_tgt[idx])
-                    & ~self.reset_done[idx])
-        if crossing.any():
-            rows = idx[crossing]
-            t = self.now[rows]
-            self.origin[rows] = t
-            self.m_area[rows] = 0.0
-            self.m_last[rows] = t
-            self.resp_cnt[rows] = 0
-            self.resp_mean[rows] = 0.0
-            self.batch_sum[rows] = 0.0
-            self.in_batch[rows] = 0
-            self.b_cnt[rows] = 0
-            self.b_mean[rows] = 0.0
-            self.b_m2[rows] = 0.0
-            self.backlog_reset[rows] = self._backlog(rows)
-            self.reset_done[rows] = True
-        finished = done_jobs >= self._total_tgt[idx]
-        if finished.any():
-            rows = idx[finished]
-            self.end_time[rows] = self.now[rows]
-            self.backlog_end[rows] = self._backlog(rows)
-            self.active[rows] = False
-            done = rows.tolist()
-            self._retired.extend(done)
-            self.active_lanes -= len(done)
+            return len(lane.q)
+        return sum(map(len, lane.qs))
 
     def step(self) -> None:
-        """One step of the lockstep engine: vectorized select,
-        departure statistics and run control; per-lane Python pops,
-        policy reactions and arrival bursts.
+        """Run the earliest-loaded active lane until it retires.
 
-        Lanes never interact, so each arrival lane may process its
-        whole run of arrivals up to (strictly before) its own next
-        departure in one go — global (time, sequence) order only ever
-        matters *within* a lane."""
-        active = self.active
-        dmin_t = self._dmin_t
-        na_t = self.na_t
-        tie = dmin_t == na_t  # simlint: disable=SIM002 -- exact calendar tie-break, mirrors the heap's total order
-        is_dep = active & ((dmin_t < na_t)
-                           | (tie & (self._dmin_eid < self.na_eid)))
-        dep_lanes = np.nonzero(is_dep)[0]
-        arr_mask = active & ~is_dep
-        if dep_lanes.size:
-            self._departures(dep_lanes)
-            self._post_departure(dep_lanes)
-        if arr_mask.any():
-            arr_lanes = np.nonzero(arr_mask)[0]
-            burst = self._burst
-            for lane, dmin in zip(arr_lanes.tolist(),
-                                  dmin_t[arr_mask].tolist()):
-                burst(lane, dmin)
-
-    # -- results -----------------------------------------------------------
-
-    def _point(self, lane: int) -> "SweepPoint":
-        """The finished lane's statistics, exactly as the scalar
-        engine's :class:`~repro.analysis.points.SweepPoint`."""
+        Lanes never interact, so a lane needs no event order beyond its
+        own: each event is the earlier, in ``(time, sequence)`` order,
+        of the lane's next arrival and its heap top.  An arrival runs
+        the policy's arrival burst up to the heap top.  A departure
+        pops and releases, applies ``MetricsRecorder.on_finish`` field
+        for field (``in_system`` and the diagnostic tallies never
+        reach ``SweepPoint`` and are omitted), runs the policy
+        reaction, then checks the scalar ``run_while`` predicates —
+        warm-up reset, then termination — exactly in the scalar order.
+        The reaction's starts happen at the departure time just
+        accrued to, so their TimeWeighted adds are the elided
+        zero-width case of ``_start_single``.
+        """
+        if not self._order:
+            return
         from repro.analysis.points import SweepPoint
 
+        slot, lane = self._order.popleft()
+        if self._single:
+            react = self._lane_drain
+            burst = self._arrival_burst
+        else:
+            react = (self._lane_departure_ls if self.policy == "LS"
+                     else self._lane_departure_lp)
+            burst = self._arrival_burst_ring
+        heap = lane.heap
+        free = lane.free
+        bsize = lane.bsize
+        warm = lane.warm_tgt
+        total = lane.total_tgt
+        origin = 0.0
+        backlog_reset = 0
+        finished = 0
+        resp_cnt = 0
+        resp_mean = 0.0
+        batch_sum = 0.0
+        in_batch = 0
+        b_cnt = 0
+        b_mean = 0.0
+        b_m2 = 0.0
+        while True:
+            if not heap:
+                burst(lane, _INF)
+                continue
+            top = heap[0]
+            dep_t = top[0]
+            na_t = lane.na_t
+            # Sequence numbers are unique per lane, so this is the
+            # calendar's total order.
+            if na_t < dep_t or (na_t == dep_t and lane.na_eid < top[1]):
+                burst(lane, dep_t)
+                continue
+            _, _, arr_t, size, net, alloc = heappop(heap)
+            for ci, comp in alloc:
+                free[ci] += comp
+            dt = dep_t - lane.last
+            lane.g_area += lane.g_val * dt
+            lane.n_area += lane.n_val * dt
+            lane.last = dep_t
+            lane.g_val -= size
+            lane.n_val -= net
+            resp = dep_t - arr_t
+            resp_cnt += 1
+            resp_mean += (resp - resp_mean) / resp_cnt
+            batch_sum += resp
+            in_batch += 1
+            if in_batch == bsize:
+                bval = batch_sum / bsize
+                b_cnt += 1
+                bdelta = bval - b_mean
+                b_mean += bdelta / b_cnt
+                b_m2 += bdelta * (bval - b_mean)
+                in_batch = 0
+                batch_sum = 0.0
+            finished += 1
+            lane.eid = react(lane, dep_t, lane.eid)
+            # ``finished`` steps by one, so this fires exactly once; with
+            # warmup_jobs == 0 the scalar run resets at t=0 before any
+            # event, which is exactly the initial state.
+            if finished == warm:
+                origin = dep_t
+                lane.g_area = 0.0
+                lane.n_area = 0.0
+                lane.last = dep_t
+                resp_cnt = 0
+                resp_mean = 0.0
+                batch_sum = 0.0
+                in_batch = 0
+                b_cnt = 0
+                b_mean = 0.0
+                b_m2 = 0.0
+                backlog_reset = self._backlog(lane)
+            if finished >= total:
+                break
+
+        # The finished lane's statistics, exactly as the scalar
+        # engine's SweepPoint.
         confidence = 0.95
-        end = float(self.end_time[lane])
-        elapsed = end - float(self.origin[lane])
+        elapsed = dep_t - origin
         if elapsed <= 0:
             raise ValueError("empty measurement window")
         denom = self.capacity * elapsed
-        tail = end - float(self.m_last[lane])
-        gross = (float(self.m_area[lane, 0])
-                 + float(self.m_val[lane, 0]) * tail) / denom
-        net = (float(self.m_area[lane, 1])
-               + float(self.m_val[lane, 1]) * tail) / denom
-        mean = (float(self.resp_mean[lane]) if self.resp_cnt[lane]
-                else math.nan)
-        k = int(self.b_cnt[lane])
-        if k < 2:
+        tail = dep_t - lane.last
+        if b_cnt < 2:
             half = math.inf
         else:
-            t_quant = student_t_quantile(0.5 + confidence / 2.0, k - 1)
-            std = math.sqrt(float(self.b_m2[lane]) / (k - 1))
-            half = t_quant * std / math.sqrt(k)
-        saturated = (int(self.backlog_end[lane])
-                     > max(50, 3 * int(self.backlog_reset[lane]) + 20))
-        return SweepPoint(
-            offered_gross=self._offered[lane],
-            gross_utilization=gross,
-            net_utilization=net,
-            mean_response=mean,
+            t_quant = student_t_quantile(0.5 + confidence / 2.0, b_cnt - 1)
+            std = math.sqrt(b_m2 / (b_cnt - 1))
+            half = t_quant * std / math.sqrt(b_cnt)
+        point = SweepPoint(
+            offered_gross=lane.offered,
+            gross_utilization=(lane.g_area + lane.g_val * tail) / denom,
+            net_utilization=(lane.n_area + lane.n_val * tail) / denom,
+            mean_response=resp_mean if resp_cnt else math.nan,
             ci_half_width=half,
-            saturated=saturated,
+            saturated=(self._backlog(lane)
+                       > max(50, 3 * backlog_reset + 20)),
         )
+        self._retired.append((slot, point))
 
 
 def run_batch_points(config: SimulationConfig,
@@ -1221,7 +1067,7 @@ def run_batch_points(config: SimulationConfig,
                      seeds: Sequence[int],
                      arrival_rate: Optional[float] = None
                      ) -> "list[SweepPoint]":
-    """Run one configuration under many seeds in lockstep.
+    """Run one configuration under many seeds as lanes of one kernel.
 
     Returns one :class:`~repro.analysis.points.SweepPoint` per seed, in
     input order, each bit-identical to the scalar
@@ -1259,7 +1105,7 @@ def run_batch_points(config: SimulationConfig,
 def run_batch_task(task: "RunTask") -> "SweepPoint":
     """Worker entry point for ``backend="batch"`` tasks (width 1).
 
-    The lockstep kernel degenerates to a single lane; results are
+    A one-slot kernel runs the single lane; results are
     width-independent, so a task executed here (serially, under the
     fault-injecting pool, from a cache-miss retry, ...) is
     byte-identical to the same seed inside a wide wave.
