@@ -102,6 +102,25 @@ class TestNHPP:
             NHPPArrivalProcess(sim, make_factory(), object(),  # type: ignore
                                lambda s: None)
 
+    def test_pinned_arrivals_for_fixed_seed(self):
+        """Accepted arrival times and thinning counts, pinned exactly."""
+        sim = Simulator()
+        seen = []
+        ap = NHPPArrivalProcess(
+            sim, make_factory(5), DiurnalRate(0.01),
+            lambda spec: seen.append((sim.now, spec.index)), limit=12,
+            rng=np.random.default_rng(11))
+        sim.run()
+        assert seen == [
+            (67.60000562588947, 0), (76.99956733582567, 1),
+            (159.7098874897023, 2), (754.8389157372002, 3),
+            (944.9171113627164, 4), (1169.96746361402, 5),
+            (1183.325886370208, 6), (1378.0641011126754, 7),
+            (1386.7262920470382, 8), (1459.5874804095656, 9),
+            (1546.8634890635537, 10), (1911.7828957010427, 11),
+        ]
+        assert (ap.candidates, ap.generated) == (43, 12)
+
     def test_drives_full_simulation(self):
         from repro.core import MulticlusterSimulation
 
