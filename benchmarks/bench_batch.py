@@ -22,7 +22,7 @@ A benchmark round that diverges raises instead of reporting a number.
 Timing uses paired rounds in A/B/B/A order (alternating which backend
 runs first, cancelling thermal/frequency drift) and summarizes the
 per-round speedup distribution by its median and lower quartile — the
-conservative "quiet quartile" convention of ``bench_hotpath.py``.
+conservative "quiet quartile".
 
 Usage::
 

@@ -3,7 +3,7 @@
 
 Measures the end-to-end cost of ``lint_paths([src/repro])`` (total wall
 seconds and files/sec) plus a stage/per-rule breakdown so future rules
-have a perf trajectory like ``BENCH_hotpath.json``:
+have a perf trajectory:
 
 ==============  ==========================================================
 stage           what is timed

@@ -2,7 +2,6 @@
 
 from . import (
     ablations,
-    crossings,
     experiments,
     figures,
     io,
@@ -43,7 +42,7 @@ from .theory import (
 
 __all__ = [
     "experiments", "tables", "theory", "queueing", "ablations", "io",
-    "figures", "sensitivity", "crossings",
+    "figures", "sensitivity",
     "sweep", "SweepPoint", "SweepResult", "compare", "default_grid",
     "utilization_grid", "rank_by_performance",
     "replicate_sweep", "paired_comparison", "ReplicatedSweep",

@@ -34,66 +34,6 @@ PlacementRule = Callable[
 ]
 
 
-def _greedy_reference(
-        components: Sequence[int], free: Sequence[int],
-        choose: Callable[[list[tuple[int, int]]], tuple[int, int]],
-        ) -> Optional[tuple[tuple[int, int], ...]]:
-    """Reference greedy placement, kept as the oracle for the fast kernels.
-
-    Components in decreasing size order, each on a distinct cluster
-    selected by ``choose`` from the feasible candidates.  This is the
-    original (allocating) implementation; the exported rules below are
-    equivalence-tested against it and the hot-path benchmark uses it as
-    the A/B baseline.
-    """
-    if len(components) > len(free):
-        return None
-    ordered = sorted(components, reverse=True)
-    remaining = list(enumerate(free))
-    assignment: list[tuple[int, int]] = []
-    for comp in ordered:
-        candidates = [(idx, f) for idx, f in remaining if f >= comp]
-        if not candidates:
-            return None
-        idx, _ = choose(candidates)
-        assignment.append((idx, comp))
-        remaining = [(i, f) for i, f in remaining if i != idx]
-    return tuple(assignment)
-
-
-def _worst_fit_reference(components: Sequence[int], free: Sequence[int]
-                         ) -> Optional[tuple[tuple[int, int], ...]]:
-    return _greedy_reference(
-        components, free,
-        choose=lambda cands: max(cands, key=lambda c: (c[1], -c[0])),
-    )
-
-
-def _first_fit_reference(components: Sequence[int], free: Sequence[int]
-                         ) -> Optional[tuple[tuple[int, int], ...]]:
-    return _greedy_reference(
-        components, free,
-        choose=lambda cands: min(cands, key=lambda c: c[0]),
-    )
-
-
-def _best_fit_reference(components: Sequence[int], free: Sequence[int]
-                        ) -> Optional[tuple[tuple[int, int], ...]]:
-    return _greedy_reference(
-        components, free,
-        choose=lambda cands: min(cands, key=lambda c: (c[1], c[0])),
-    )
-
-
-#: Reference (oracle) implementations by rule name — tests and the
-#: hot-path benchmark compare the fast kernels against these.
-REFERENCE_RULES: dict[str, PlacementRule] = {
-    "worst-fit": _worst_fit_reference,
-    "first-fit": _first_fit_reference,
-    "best-fit": _best_fit_reference,
-}
-
-
 def _ordered(components: Sequence[int]) -> Sequence[int]:
     """``components`` in non-increasing order, without copying when the
     input is already sorted (``JobSpec.components`` always is)."""

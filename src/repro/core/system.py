@@ -59,12 +59,6 @@ class MulticlusterSimulation:
         Placement-rule name or callable (default Worst Fit).
     tracer:
         Optional event tracer for debugging/tests.
-    direct_departures:
-        When True (default) departures are scheduled as lightweight
-        :meth:`~repro.sim.engine.Simulator.defer` callbacks; False uses
-        the original per-job ``Timeout`` event.  Both paths are
-        event-sequence identical — the flag exists so the equivalence
-        tests and the hot-path benchmark can compare them.
     """
 
     def __init__(self,
@@ -74,8 +68,7 @@ class MulticlusterSimulation:
                  placement: "str | PlacementRule" = "worst-fit",
                  batch_size: int = 500,
                  tracer: Optional[Tracer] = None,
-                 sim: Optional[Simulator] = None,
-                 direct_departures: bool = True) -> None:
+                 sim: Optional[Simulator] = None) -> None:
         if capacities is None:
             capacities = [stats_model.CLUSTER_SIZE] * stats_model.NUM_CLUSTERS
         self.sim = sim if sim is not None else Simulator()
@@ -96,7 +89,6 @@ class MulticlusterSimulation:
         self.on_departure_hook: Optional[Callable[[Job], None]] = None
         self.jobs_started = 0
         self.jobs_finished = 0
-        self._direct_departures = direct_departures
         # One tuple shared by every deferred departure (see start_job).
         self._departure_callbacks = (self._departure_callback,)
 
@@ -127,16 +119,10 @@ class MulticlusterSimulation:
             self.tracer.emit_row({"t": now, "kind": "start",
                                   "job": job.spec.index,
                                   "assignment": job.placement})
-        if self._direct_departures:
-            # Fast path: one calendar push carrying the job, no Timeout
-            # object or per-job callback list.  Same scheduling sequence
-            # number and rank as the Timeout below, so event order and
-            # the events_scheduled counter are unchanged.
-            self.sim.defer(job.gross_service_time,
-                           self._departure_callbacks, job)
-        else:
-            departure = self.sim.timeout(job.gross_service_time, value=job)
-            departure.callbacks.append(self._departure_callback)
+        # One calendar push carrying the job: no Timeout object or
+        # per-job callback list.
+        self.sim.defer(job.gross_service_time,
+                       self._departure_callbacks, job)
 
     def _departure_callback(self, event) -> None:
         job: Job = event.value

@@ -3,10 +3,10 @@
 For diagnosing *why* a policy saturates (which queue grows, which
 cluster idles) the aggregate report is not enough — you need the
 trajectory.  :class:`TimeSeriesProbe` samples arbitrary signals from a
-running simulation at a fixed period (a simulation process, so sampling
-costs one event per period), and :class:`TrajectoryRecorder` wires the
-standard multicluster signals (per-queue lengths, per-cluster busy
-counts, total backlog) to one probe.
+running simulation at a fixed period (one deferred callback per
+period), and :class:`TrajectoryRecorder` wires the standard
+multicluster signals (per-queue lengths, per-cluster busy counts, total
+backlog) to one probe.
 """
 
 from __future__ import annotations
@@ -48,16 +48,20 @@ class TimeSeriesProbe:
             name: [] for name in signals
         }
         self._running = True
-        sim.process(self._sampler(), name="timeseries-probe")
+        self._tick_callbacks = (self._tick,)
+        sim.defer(0.0, (self._arm,), priority=True)
 
-    def _sampler(self):
-        while self._running:
-            yield self.sim.timeout(self.period)
-            if not self._running:
-                return
-            self.times.append(self.sim.now)
-            for name, fn in self.signals.items():
-                self.samples[name].append(float(fn()))
+    def _arm(self, _event: object) -> None:
+        if self._running:
+            self.sim.defer(self.period, self._tick_callbacks)
+
+    def _tick(self, _event: object) -> None:
+        if not self._running:
+            return
+        self.times.append(self.sim.now)
+        for name, fn in self.signals.items():
+            self.samples[name].append(float(fn()))
+        self._arm(None)
 
     def stop(self) -> None:
         """Stop sampling (takes effect at the next period boundary)."""

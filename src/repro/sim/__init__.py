@@ -1,10 +1,11 @@
-"""``repro.sim`` — a process-oriented discrete-event simulation engine.
+"""``repro.sim`` — the discrete-event simulation substrate.
 
-This subpackage is the substrate replacing the commercial CSIM18 package
-the paper used: an event calendar with deterministic tie-breaking,
-generator-coroutine processes, interrupts, counted resources, reproducible
-named random streams, input distributions, and steady-state output
-statistics (batch means, time-weighted averages).
+This subpackage replaces the commercial CSIM18 package the paper used,
+trimmed to what the multicluster model drives: an event calendar with
+deterministic tie-breaking and lightweight deferred callbacks,
+reproducible named random streams, input distributions, steady-state
+output statistics (batch means, time-weighted averages), and the
+fused batch-replication kernel.
 
 Quick example::
 
@@ -14,26 +15,17 @@ Quick example::
     rng = StreamFactory(1).get("arrivals")
     iat = Exponential(mean=2.0)
 
-    def source(sim):
-        while True:
-            yield sim.timeout(iat.sample(rng))
-            print("arrival at", sim.now)
+    def arrival(_event):
+        print("arrival at", sim.now)
+        sim.defer(iat.sample(rng), (arrival,))
 
-    sim.process(source(sim))
+    sim.defer(iat.sample(rng), (arrival,))
     sim.run(until=10)
 """
 
-from .calendar import CalendarQueue, EventList, HeapEventList
 from .engine import Infinity, Simulator
-from .errors import (
-    EmptySchedule,
-    Interrupt,
-    SchedulingError,
-    SimulationError,
-)
-from .events import AllOf, AnyOf, Condition, Event, Timeout
-from .process import Process
-from .resources import Gate, Grant, PreemptiveResource, Resource, Store
+from .errors import EmptySchedule, SchedulingError, SimulationError
+from .events import Event, Timeout
 from .rng import StreamFactory, stream
 from .distributions import (
     BoundedPareto,
@@ -52,8 +44,6 @@ from .distributions import (
     Weibull,
 )
 from .quantiles import P2Quantile, QuantileSet
-from .run_length import RunLengthController, StoppingDecision, run_to_precision
-from .warmup import is_warmup_adequate, mser_truncation_point
 from .stats import (
     BatchMeans,
     ConfidenceInterval,
@@ -68,13 +58,10 @@ from .trace import NullTracer, TraceRecord, Tracer
 __all__ = [
     # engine
     "Simulator", "Infinity",
-    "EventList", "HeapEventList", "CalendarQueue",
     # errors
-    "SimulationError", "SchedulingError", "EmptySchedule", "Interrupt",
-    # events & processes
-    "Event", "Timeout", "Condition", "AnyOf", "AllOf", "Process",
-    # resources
-    "Resource", "Grant", "Store", "Gate", "PreemptiveResource",
+    "SimulationError", "SchedulingError", "EmptySchedule",
+    # events
+    "Event", "Timeout",
     # rng
     "StreamFactory", "stream",
     # distributions
@@ -84,8 +71,6 @@ __all__ = [
     "Weibull", "BoundedPareto",
     # stats
     "P2Quantile", "QuantileSet",
-    "RunLengthController", "StoppingDecision", "run_to_precision",
-    "mser_truncation_point", "is_warmup_adequate",
     "Tally", "TimeWeighted", "BatchMeans", "Histogram",
     "ConfidenceInterval", "normal_quantile", "student_t_quantile",
     # tracing

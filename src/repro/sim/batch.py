@@ -43,9 +43,8 @@ exactly.  That holds because
 * events are ordered by ``(time, sequence-number)`` with the same
   sequence-number bookkeeping as :meth:`repro.sim.engine.Simulator.defer`;
 * placement reproduces Worst Fit decision-for-decision — a memoized
-  per-lane kernel whose decision order equals the scalar rule and its
-  vectorized twin :func:`repro.core.placement_batch.worst_fit_batch`
-  (all three pinned against each other by the differential tests) —
+  per-lane kernel whose decision order equals the scalar rule (pinned
+  by the differential tests, which also keep a vectorized oracle) —
   and the LS/LP queue ring is carried as per-lane visit/disabled
   lists whose order equals the scalar
   :class:`~repro.core.queues.QueueRing` lists;
@@ -587,8 +586,7 @@ class BatchLaneKernel:
         """Worst Fit over Python ints: ``((cluster, component), ...)``
         or ``None`` when some component does not fit.
 
-        Decision order matches the scalar Worst Fit (and its
-        vectorized twin :func:`worst_fit_batch`, pinned by the same
+        Decision order matches the scalar Worst Fit (pinned by the
         differential tests) exactly — components non-increasing, each
         on the fullest feasible cluster not already holding a
         component of this job, ties to the lowest cluster index.

@@ -2,36 +2,32 @@
 
 :class:`Simulator` owns the clock and the pending-event heap.  Events are
 processed in (time, priority, insertion order) — ties at the same timestamp
-are broken first by the *urgent* flag (used internally so process
-initialisation and termination precede ordinary events) and then FIFO, which
-makes runs fully deterministic.
+are broken first by the *urgent* flag (used for initialisation events and
+the ``run(until=)`` horizon, which precede ordinary events) and then FIFO,
+which makes runs fully deterministic.
 
 Typical usage::
 
     sim = Simulator()
 
-    def source(sim):
-        while True:
-            yield sim.timeout(1.0)
-            print("tick at", sim.now)
+    def tick(_event):
+        print("tick at", sim.now)
+        sim.defer(1.0, (tick,))
 
-    sim.process(source(sim))
+    sim.defer(1.0, (tick,))
     sim.run(until=10.0)
 
 The engine is single-threaded and re-entrant-free by design: model code
-runs only inside :meth:`step`, so no locking is ever needed — the usual
-discipline for process-oriented simulation kernels (CSIM, SimPy).
+runs only inside event callbacks, so no locking is ever needed.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Iterable, Optional
+from heapq import heappop, heappush
+from typing import Callable, Optional
 
-from .calendar import EventList, HeapEventList
 from .errors import EmptySchedule, SchedulingError, StopSimulation
-from .events import AllOf, AnyOf, Callback, Event, Timeout
-from .process import Process, ProcessGenerator
+from .events import Callback, Event, Timeout
 
 __all__ = ["Simulator", "Infinity"]
 
@@ -51,10 +47,6 @@ class Simulator:
     ----------
     initial_time:
         Starting value of the simulation clock (default 0).
-    event_list:
-        Pending-event structure; defaults to a binary heap.  Pass a
-        :class:`~repro.sim.calendar.CalendarQueue` for very large event
-        populations.
 
     Attributes
     ----------
@@ -62,14 +54,11 @@ class Simulator:
         Current simulation time.  Only the engine advances it.
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 event_list: Optional[EventList] = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: EventList = (
-            event_list if event_list is not None else HeapEventList()
-        )
+        #: Pending entries ``(time, rank, sequence, event)``, a binary heap.
+        self._heap: list[tuple] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         #: Monotone counter of processed events (for diagnostics/benchmarks).
         self.events_processed = 0
 
@@ -90,11 +79,6 @@ class Simulator:
         """
         return self._eid
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
-
     # -- event factories -------------------------------------------------
 
     def event(self) -> Event:
@@ -105,33 +89,21 @@ class Simulator:
         """Create an event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
-    def process(self, generator: ProcessGenerator,
-                name: Optional[str] = None) -> Process:
-        """Start a new process running ``generator``."""
-        return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition event: fires when any of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition event: fires when all of ``events`` have fired."""
-        return AllOf(self, events)
-
     # -- calendar ----------------------------------------------------------
 
     def schedule(self, event: Event, *, delay: float = 0.0,
                  priority: bool = False) -> None:
         """Place a triggered event on the calendar ``delay`` from now.
 
-        ``priority`` marks engine-internal urgent events which are
-        processed before normal events scheduled at the same time.
+        ``priority`` marks urgent events (initialisation, the run
+        horizon), which are processed before normal events scheduled at
+        the same time.
         """
         if delay < 0:
             raise SchedulingError(f"cannot schedule into the past ({delay!r})")
         self._eid += 1
         rank = _URGENT if priority else _NORMAL
-        self._queue.push((self._now + delay, rank, self._eid, event))
+        heappush(self._heap, (self._now + delay, rank, self._eid, event))
 
     def defer(self, delay: float,
               callbacks: "tuple[Callable[[Callback], None], ...]",
@@ -150,8 +122,9 @@ class Simulator:
             raise SchedulingError(f"cannot schedule into the past ({delay!r})")
         self._eid += 1
         rank = _URGENT if priority else _NORMAL
-        self._queue.push(
-            (self._now + delay, rank, self._eid, Callback(callbacks, value))
+        heappush(
+            self._heap,
+            (self._now + delay, rank, self._eid, Callback(callbacks, value)),
         )
 
     def call_at(self, time: float, fn: Callable[[], None]) -> Event:
@@ -170,8 +143,7 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        t = self._queue.peek_time()
-        return t if t is not None else Infinity
+        return self._heap[0][0] if self._heap else Infinity
 
     # -- execution ---------------------------------------------------------
 
@@ -183,7 +155,7 @@ class Simulator:
         silently).
         """
         try:
-            self._now, _, _, event = self._queue.pop()
+            self._now, _, _, event = heappop(self._heap)
         except IndexError:
             raise EmptySchedule("no more events scheduled") from None
 
@@ -204,9 +176,7 @@ class Simulator:
         the per-event ``while pred() and sim.peek() != inf: sim.step()``
         pattern — two method calls and a float comparison of bookkeeping
         per event — the engine checks the predicate and pops the next
-        entry in one flat loop.  For the default :class:`HeapEventList`
-        the heap pop is inlined, skipping the virtual ``EventList.pop``
-        dispatch; any other event list falls back to :meth:`step`.
+        heap entry in one flat loop.
 
         ``predicate`` is evaluated *before* each event, exactly like the
         classic guarded loop, so the processed-event sequence is
@@ -214,26 +184,19 @@ class Simulator:
         predicate went false, ``False`` if the calendar drained first.
         Failed events propagate exactly as from :meth:`step`.
         """
-        queue = self._queue
-        if type(queue) is HeapEventList:
-            heap = queue._heap
-            pop = heapq.heappop
-            while heap:
-                if not predicate():
-                    return True
-                self._now, _, _, event = pop(heap)
-                callbacks = event.callbacks
-                event.callbacks = None  # mark processed
-                self.events_processed += 1
-                for callback in callbacks:  # type: ignore[union-attr]
-                    callback(event)
-                if event._ok is False and not event._defused:
-                    raise event._value  # type: ignore[misc]
-            return False
-        while len(queue):
+        heap = self._heap
+        pop = heappop
+        while heap:
             if not predicate():
                 return True
-            self.step()
+            self._now, _, _, event = pop(heap)
+            callbacks = event.callbacks
+            event.callbacks = None  # mark processed
+            self.events_processed += 1
+            for callback in callbacks:  # type: ignore[union-attr]
+                callback(event)
+            if event._ok is False and not event._defused:
+                raise event._value  # type: ignore[misc]
         return False
 
     def run(self, until: "float | Event | None" = None) -> object:
@@ -272,26 +235,20 @@ class Simulator:
             self.schedule(stop, delay=horizon - self._now, priority=True)
 
         try:
-            queue = self._queue
-            if type(queue) is HeapEventList:
-                # Same fused loop as run_while: inline the heap pop and
-                # the step() body for the default event list.
-                heap = queue._heap
-                pop = heapq.heappop
-                while True:
-                    if not heap:
-                        raise EmptySchedule("no more events scheduled")
-                    self._now, _, _, event = pop(heap)
-                    callbacks = event.callbacks
-                    event.callbacks = None  # mark processed
-                    self.events_processed += 1
-                    for callback in callbacks:  # type: ignore[union-attr]
-                        callback(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value  # type: ignore[misc]
-            else:
-                while True:
-                    self.step()
+            # Same fused loop as run_while: the step() body inlined.
+            heap = self._heap
+            pop = heappop
+            while True:
+                if not heap:
+                    raise EmptySchedule("no more events scheduled")
+                self._now, _, _, event = pop(heap)
+                callbacks = event.callbacks
+                event.callbacks = None  # mark processed
+                self.events_processed += 1
+                for callback in callbacks:  # type: ignore[union-attr]
+                    callback(event)
+                if event._ok is False and not event._defused:
+                    raise event._value  # type: ignore[misc]
         except StopSimulation as signal:
             return signal.value
         except EmptySchedule:
@@ -311,6 +268,6 @@ class Simulator:
 
     def __repr__(self) -> str:
         return (
-            f"<Simulator t={self._now:.6g} pending={len(self._queue)} "
+            f"<Simulator t={self._now:.6g} pending={len(self._heap)} "
             f"processed={self.events_processed}>"
         )

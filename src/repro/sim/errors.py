@@ -1,13 +1,10 @@
 """Exception types used by the discrete-event simulation engine.
 
-The engine distinguishes three failure modes:
+The engine distinguishes two failure modes:
 
 * :class:`SimulationError` — a structural misuse of the engine (scheduling
   into the past, running a finished simulation, ...).  These indicate bugs
   in the model, never ordinary simulation outcomes.
-* :class:`Interrupt` — thrown *into* a process when another process calls
-  :meth:`repro.sim.process.Process.interrupt`.  Models preemption and
-  cancellation; a process may catch it and continue.
 * :class:`StopSimulation` — raised internally to end :meth:`Simulator.run`
   when the ``until`` event triggers.
 """
@@ -17,7 +14,6 @@ from __future__ import annotations
 __all__ = [
     "SimulationError",
     "SchedulingError",
-    "Interrupt",
     "StopSimulation",
     "EmptySchedule",
 ]
@@ -31,8 +27,7 @@ class SchedulingError(SimulationError):
     """An event was scheduled or triggered in an illegal way.
 
     Examples: scheduling an event at a time earlier than the current
-    simulation time, triggering an already-triggered event, or yielding a
-    non-event object from a process.
+    simulation time, or triggering an already-triggered event.
     """
 
 
@@ -50,22 +45,3 @@ class StopSimulation(Exception):
     def __init__(self, value: object = None) -> None:
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted by another process.
-
-    Parameters
-    ----------
-    cause:
-        Arbitrary object describing why the interrupt happened; made
-        available as :attr:`cause`.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> object:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]

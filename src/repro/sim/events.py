@@ -6,27 +6,21 @@ moves through three states:
 ``untriggered`` → ``triggered`` (scheduled on the calendar with a value) →
 ``processed`` (callbacks have run).
 
-Processes (see :mod:`repro.sim.process`) communicate exclusively through
-events: a process *yields* an event to suspend until the event is processed.
-Composite conditions (:class:`AnyOf`, :class:`AllOf`) let a process wait on
-several events at once.
-
-The design is deliberately close to the classic process-oriented simulation
-libraries (CSIM, SimPy) so that models read like the pseudo-code in the
-simulation literature, but the implementation here is self-contained.
+:class:`Timeout` is an event that triggers itself a fixed delay ahead, and
+:class:`Callback` is the allocation-light occurrence that
+:meth:`~repro.sim.engine.Simulator.defer` schedules for hot loops.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .engine import Simulator
 
-__all__ = ["Event", "Timeout", "Callback", "Condition", "AnyOf", "AllOf",
-           "PENDING"]
+__all__ = ["Event", "Timeout", "Callback", "PENDING"]
 
 
 class _PendingType:
@@ -43,7 +37,7 @@ PENDING = _PendingType()
 
 
 class Event:
-    """A one-shot occurrence that processes can wait for.
+    """A one-shot occurrence whose callbacks run when it is processed.
 
     Parameters
     ----------
@@ -110,8 +104,8 @@ class Event:
     def fail(self, exception: BaseException, *, delay: float = 0.0) -> "Event":
         """Trigger the event as failed with ``exception``.
 
-        Any process waiting on the event will have the exception thrown
-        into it, unless the failure is defused first.
+        Unless the failure is defused first, the engine re-raises the
+        exception when it processes the event.
         """
         if self._value is not PENDING:
             raise SchedulingError(f"{self!r} has already been triggered")
@@ -135,9 +129,9 @@ class Event:
     def defuse(self) -> None:
         """Mark a failed event as handled so the engine will not re-raise.
 
-        If a failed event has no waiting process, the engine propagates the
-        exception out of :meth:`Simulator.step` to avoid silently lost
-        errors; defusing suppresses that.
+        The engine propagates a failed event's exception out of
+        :meth:`Simulator.step` to avoid silently lost errors; defusing
+        suppresses that.
         """
         self._defused = True
 
@@ -145,14 +139,6 @@ class Event:
     def defused(self) -> bool:
         """Whether a failure of this event has been marked as handled."""
         return self._defused
-
-    # -- composition ------------------------------------------------------
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
 
     def __repr__(self) -> str:
         state = (
@@ -166,10 +152,10 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed simulated delay.
 
-    Yielding a ``Timeout`` is how a process models the passage of time::
+    Callbacks appended to a ``Timeout`` run once the clock has advanced
+    by ``delay``::
 
-        def worker(sim):
-            yield sim.timeout(3.5)   # advance 3.5 time units
+        sim.timeout(3.5).callbacks.append(lambda ev: print(sim.now))
     """
 
     __slots__ = ("delay",)
@@ -223,73 +209,3 @@ class Callback:
     def __repr__(self) -> str:
         state = "processed" if self.callbacks is None else "scheduled"
         return f"<Callback {state} at {id(self):#x}>"
-
-
-class Condition(Event):
-    """An event that triggers when a predicate over child events holds.
-
-    Subclasses define :meth:`_check` to decide, after each child event
-    fires, whether the condition is satisfied.  The condition's value is a
-    dict mapping each *triggered* child event to its value, in trigger
-    order (insertion ordered).
-
-    A failing child event fails the whole condition immediately.
-    """
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events: tuple[Event, ...] = tuple(events)
-        self._count = 0
-        for event in self.events:
-            if event.sim is not sim:
-                raise SchedulingError("condition spans multiple simulators")
-        # Immediately evaluate against already-processed children and
-        # subscribe to pending ones.
-        if self._check(0, len(self.events)) and not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.processed:
-                self._on_child(event)
-            else:
-                event.callbacks.append(self._on_child)  # type: ignore[union-attr]
-
-    def _check(self, count: int, total: int) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event.defuse()
-            self.fail(event._value)  # type: ignore[arg-type]
-            return
-        self._count += 1
-        if self._check(self._count, len(self.events)):
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict[Event, object]:
-        # Only children that have actually *occurred* (been processed)
-        # belong in the value: a Timeout is "triggered" from construction
-        # but has not happened until the calendar reaches it.
-        return {ev: ev._value for ev in self.events if ev.processed and ev._ok}
-
-
-class AnyOf(Condition):
-    """Condition satisfied when at least one child event has triggered."""
-
-    __slots__ = ()
-
-    def _check(self, count: int, total: int) -> bool:
-        return count >= 1 or total == 0
-
-
-class AllOf(Condition):
-    """Condition satisfied when every child event has triggered."""
-
-    __slots__ = ()
-
-    def _check(self, count: int, total: int) -> bool:
-        return count == total

@@ -106,20 +106,23 @@ class NHPPArrivalProcess:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.generated = 0
         self.candidates = 0
-        self.process = sim.process(self._run(), name="nhpp-arrivals")
+        self._peak = float(peak)
+        self._tick_callbacks = (self._tick,)
+        # Urgent init event at t=0, like ArrivalProcess: the first gap
+        # is drawn when the calendar starts, not at construction.
+        sim.defer(0.0, (self._arm,), priority=True)
 
-    def _run(self):
-        peak = self.rate.peak_rate
-        mean_gap = 1.0 / peak
-        while self.limit is None or self.generated < self.limit:
-            yield self.sim.timeout(
-                float(self._rng.exponential(mean_gap))
-            )
-            self.candidates += 1
-            accept = self._rng.random() < self.rate(self.sim.now) / peak
-            if accept:
-                self.submit(self.factory.next_job())
-                self.generated += 1
+    def _arm(self, _event: object) -> None:
+        if self.limit is None or self.generated < self.limit:
+            self.sim.defer(float(self._rng.exponential(1.0 / self._peak)),
+                           self._tick_callbacks)
+
+    def _tick(self, _event: object) -> None:
+        self.candidates += 1
+        if self._rng.random() < self.rate(self.sim.now) / self._peak:
+            self.submit(self.factory.next_job())
+            self.generated += 1
+        self._arm(None)
 
     @property
     def acceptance_rate(self) -> float:

@@ -2,9 +2,10 @@
 
 The hot-path kernels in :mod:`repro.core.placement` (single linear scan
 over a per-call copy of the free counts, folded feasibility tests,
-single-component fast path) must make *exactly* the decisions of the original allocating
-implementation — assignments feed the obs event stream and the extras
-counters, so any divergence breaks byte-identity of runs.  Hypothesis
+single-component fast path) must make *exactly* the decisions of the
+straightforward allocating greedy kept here as the oracle — assignments
+feed the obs event stream and the extras counters, so any divergence
+breaks byte-identity of runs.  Hypothesis
 drives both implementations through the same inputs, including unsorted
 component lists (the kernels skip re-sorting pre-sorted input),
 infeasible requests and degenerate shapes.
@@ -16,12 +17,70 @@ import random
 import sys
 import threading
 
+from typing import Callable, Optional, Sequence
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.placement import PLACEMENT_RULES, REFERENCE_RULES
+from repro.core.placement import PLACEMENT_RULES, PlacementRule
 
 RULES = sorted(PLACEMENT_RULES)
+
+
+def _greedy_reference(
+        components: Sequence[int], free: Sequence[int],
+        choose: Callable[[list[tuple[int, int]]], tuple[int, int]],
+        ) -> Optional[tuple[tuple[int, int], ...]]:
+    """Reference greedy placement: the oracle for the fast kernels.
+
+    Components in decreasing size order, each on a distinct cluster
+    selected by ``choose`` from the feasible candidates.
+    """
+    if len(components) > len(free):
+        return None
+    ordered = sorted(components, reverse=True)
+    remaining = list(enumerate(free))
+    assignment: list[tuple[int, int]] = []
+    for comp in ordered:
+        candidates = [(idx, f) for idx, f in remaining if f >= comp]
+        if not candidates:
+            return None
+        idx, _ = choose(candidates)
+        assignment.append((idx, comp))
+        remaining = [(i, f) for i, f in remaining if i != idx]
+    return tuple(assignment)
+
+
+def _worst_fit_reference(components: Sequence[int], free: Sequence[int]
+                         ) -> Optional[tuple[tuple[int, int], ...]]:
+    return _greedy_reference(
+        components, free,
+        choose=lambda cands: max(cands, key=lambda c: (c[1], -c[0])),
+    )
+
+
+def _first_fit_reference(components: Sequence[int], free: Sequence[int]
+                         ) -> Optional[tuple[tuple[int, int], ...]]:
+    return _greedy_reference(
+        components, free,
+        choose=lambda cands: min(cands, key=lambda c: c[0]),
+    )
+
+
+def _best_fit_reference(components: Sequence[int], free: Sequence[int]
+                        ) -> Optional[tuple[tuple[int, int], ...]]:
+    return _greedy_reference(
+        components, free,
+        choose=lambda cands: min(cands, key=lambda c: (c[1], c[0])),
+    )
+
+
+#: Oracle implementations by rule name.
+REFERENCE_RULES: dict[str, PlacementRule] = {
+    "worst-fit": _worst_fit_reference,
+    "first-fit": _first_fit_reference,
+    "best-fit": _best_fit_reference,
+}
 
 
 def test_reference_registry_mirrors_rules() -> None:

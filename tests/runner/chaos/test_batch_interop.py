@@ -22,6 +22,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from contextlib import suppress
 
 from repro.analysis.io import save_sweep
 from repro.analysis.sweeps import sweep, sweep_tasks
@@ -86,6 +87,9 @@ class TestInterruptedBatchSweepResumes:
                           cache_dir=str(cache_dir))],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env={**os.environ, FAULTS_ENV: str(fault_plan)},
+            # Own process group: the finally below kills the child's
+            # forked worker too, not just the child.
+            start_new_session=True,
         )
         try:
             assert wait_for(lambda: cache.contains(keys[0])), (
@@ -93,9 +97,9 @@ class TestInterruptedBatchSweepResumes:
             child.send_signal(signal.SIGINT)
             child.wait(timeout=30)
         finally:
-            if child.poll() is None:
-                child.kill()
-                child.wait()
+            with suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
         assert child.returncode != 0, "interrupted child exited cleanly"
 
         assert cache.contains(keys[0])

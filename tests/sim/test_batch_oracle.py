@@ -151,6 +151,46 @@ def test_ragged_termination_keeps_lanes_independent():
 
 # -- the placement kernels agree decision-for-decision ---------------------
 
+def worst_fit_batch(components, free):
+    """Vectorized Worst Fit over distinct clusters, one job per lane.
+
+    ``components`` is a ``(k, C)`` int64 array whose row ``i`` holds
+    lane ``i``'s component sizes in non-increasing order, zero-padded;
+    ``free`` holds the matching idle-processor counts and is not
+    modified.  Returns ``(fit, alloc)``: whether every component of
+    the lane's job found a distinct feasible cluster, and the
+    processors taken per cluster (all zeros for lanes that do not fit).
+
+    Components are consumed column by column, i.e. in non-increasing
+    size order; each goes to the feasible cluster with the most idle
+    processors, and ``np.argmax`` takes the first occurrence, which is
+    the scalar kernel's lowest-index tie-break.
+    """
+    import numpy as np
+
+    k, _ = free.shape
+    scratch = free.copy()
+    alloc = np.zeros_like(free)
+    fit = np.ones(k, dtype=bool)
+    for col in range(components.shape[1]):
+        comp = components[:, col]
+        live = fit & (comp > 0)
+        if not live.any():
+            break
+        # Infeasible (or already used, scratch == -1) clusters become
+        # -1, so ``best < 0`` means no fit.
+        feasible = np.where(scratch >= comp[:, None], scratch, -1)
+        best = feasible.max(axis=1)
+        best_idx = feasible.argmax(axis=1)
+        placed = live & (best >= 0)
+        fit &= placed | ~live
+        rows = np.nonzero(placed)[0]
+        scratch[rows, best_idx[rows]] = -1  # distinct clusters
+        alloc[rows, best_idx[rows]] = comp[rows]
+    alloc[~fit] = 0
+    return fit, alloc
+
+
 placement_space = st.lists(
     st.tuples(
         st.integers(min_value=1, max_value=64),
@@ -167,13 +207,13 @@ def test_worst_fit_batch_matches_scalar_kernel(cases, limit):
     """worst_fit_batch == the scalar Worst Fit, lane for lane.
 
     The per-lane engine memoizes the same decisions (its differential
-    pin is the whole-run tests above); this pins the vectorized kernel
-    itself so all three implementations stay mutually exact.
+    pin is the whole-run tests above); this pins the vectorized oracle
+    to the scalar kernel, so the two independent formulations of the
+    decision order stay mutually exact.
     """
     import numpy as np
 
     from repro.core.placement import place_components
-    from repro.core.placement_batch import worst_fit_batch
     from repro.workload.splitting import split_size
 
     comp_rows = []

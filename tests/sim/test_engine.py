@@ -1,6 +1,8 @@
 """Unit tests for the event calendar and run control."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     EmptySchedule,
@@ -204,20 +206,6 @@ def test_run_while_propagates_failed_events():
         sim.run_while(lambda: True)
 
 
-def test_run_while_generic_event_list_fallback():
-    from repro.sim import CalendarQueue
-
-    sim = Simulator(event_list=CalendarQueue())
-    seen = []
-    for t in (1.0, 2.0, 3.0):
-        ev = sim.timeout(t, value=t)
-        ev.callbacks.append(lambda e: seen.append(e.value))
-    assert sim.run_while(lambda: len(seen) < 2) is True
-    assert seen == [1.0, 2.0]
-    assert sim.run_while(lambda: True) is False
-    assert seen == [1.0, 2.0, 3.0]
-
-
 def test_defer_interleaves_with_timeouts_in_fifo_order():
     sim = Simulator()
     order = []
@@ -256,3 +244,42 @@ def test_defer_shared_callback_tuple_is_not_consumed():
     sim.run()
     assert hits == [0, 1, 2]
     assert shared  # the tuple itself is untouched
+
+
+_grid = st.sampled_from([0.0, 0.25, 0.5, 1.0, 7.25])
+
+
+@given(st.lists(
+    st.tuples(_grid, st.booleans(),
+              st.one_of(st.none(), st.tuples(_grid, st.booleans()))),
+    min_size=1, max_size=80,
+))
+@settings(max_examples=100, deadline=None)
+def test_pop_order_is_time_rank_insertion_under_tie_storms(ops):
+    """Every event processed is the (time, rank, insertion) minimum of
+    what is pending at that moment — under heavy timestamp collisions,
+    mixed urgent/normal ranks, and events scheduled from inside
+    callbacks at the current time."""
+    sim = Simulator()
+    pending = set()
+    popped = []
+
+    def schedule(delay, urgent, spawn):
+        key = (sim.now + delay, 0 if urgent else 1, sim.events_scheduled + 1)
+        sim.defer(delay, (fire,), (key, spawn), priority=urgent)
+        pending.add(key)
+
+    def fire(event):
+        key, spawn = event.value
+        assert sim.now == key[0]
+        assert key == min(pending)
+        pending.remove(key)
+        popped.append(key)
+        if spawn is not None:
+            schedule(*spawn, None)
+
+    for delay, urgent, spawn in ops:
+        schedule(delay, urgent, spawn)
+    sim.run()
+    assert not pending
+    assert len(popped) == sim.events_processed == sim.events_scheduled

@@ -9,14 +9,16 @@ def test_zero_delay_timeout_fires_now_after_current_event():
     sim = Simulator()
     order = []
 
-    def proc(sim):
+    def first(_event):
         order.append(("before", sim.now))
-        yield sim.timeout(0.0)
-        order.append(("after", sim.now))
+        sim.timeout(0.0).callbacks.append(
+            lambda e: order.append(("after", sim.now)))
+        order.append(("still in callback", sim.now))
 
-    sim.process(proc(sim))
+    sim.defer(0.0, (first,))
     sim.run()
-    assert order == [("before", 0.0), ("after", 0.0)]
+    assert order == [("before", 0.0), ("still in callback", 0.0),
+                     ("after", 0.0)]
 
 
 def test_event_exactly_at_run_horizon_is_processed():
@@ -39,12 +41,11 @@ def test_run_resumable_after_horizon():
     sim = Simulator()
     ticks = []
 
-    def ticker(sim):
-        while True:
-            yield sim.timeout(1.0)
-            ticks.append(sim.now)
+    def tick(_event):
+        ticks.append(sim.now)
+        sim.defer(1.0, (tick,))
 
-    sim.process(ticker(sim))
+    sim.defer(1.0, (tick,))
     sim.run(until=3.5)
     assert ticks == [1.0, 2.0, 3.0]
     sim.run(until=5.5)
@@ -78,27 +79,24 @@ def test_massive_simultaneous_events_preserve_fifo():
 
 def test_events_processed_counter_includes_internal_events():
     sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(1.0)
-
-    sim.process(proc(sim))
-    sim.run()
-    # init event + timeout + termination event.
-    assert sim.events_processed == 3
+    sim.timeout(1.0)
+    sim.run(until=5.0)
+    # The timeout + the run's internal horizon event.
+    assert sim.events_processed == 2
+    assert sim.events_scheduled == 2
 
 
-def test_nested_process_spawning_during_callbacks():
+def test_nested_scheduling_during_callbacks():
     sim = Simulator()
     spawned = []
 
-    def child(sim, depth):
-        yield sim.timeout(0.5)
+    def child(event):
+        depth = event.value
         spawned.append(depth)
         if depth < 5:
-            sim.process(child(sim, depth + 1))
+            sim.defer(0.5, (child,), depth + 1)
 
-    sim.process(child(sim, 1))
+    sim.defer(0.5, (child,), 1)
     sim.run()
     assert spawned == [1, 2, 3, 4, 5]
     assert sim.now == pytest.approx(2.5)

@@ -1,8 +1,8 @@
-"""Unit tests for Event state machine and condition events."""
+"""Unit tests for the Event state machine."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, SchedulingError, Simulator
+from repro.sim import SchedulingError, Simulator
 
 
 @pytest.fixture
@@ -76,67 +76,3 @@ class TestEventLifecycle:
         dst.trigger_from(src)
         dst.defuse()
         assert not dst.ok and dst.value is exc
-
-
-class TestAnyOf:
-    def test_fires_on_first_child(self, sim):
-        a, b = sim.timeout(2.0, "a"), sim.timeout(5.0, "b")
-        cond = AnyOf(sim, [a, b])
-        sim.run(until=cond)
-        assert sim.now == 2.0
-        assert cond.value == {a: "a"}
-
-    def test_operator_or(self, sim):
-        a, b = sim.timeout(1.0), sim.timeout(2.0)
-        cond = a | b
-        assert isinstance(cond, AnyOf)
-        sim.run(until=cond)
-        assert sim.now == 1.0
-
-    def test_empty_any_of_fires_immediately(self, sim):
-        cond = AnyOf(sim, [])
-        sim.run()
-        assert cond.triggered and cond.value == {}
-
-    def test_already_processed_child_satisfies(self, sim):
-        a = sim.timeout(1.0, "a")
-        sim.run()
-        cond = AnyOf(sim, [a])
-        sim.run()
-        assert cond.triggered
-        assert cond.value == {a: "a"}
-
-    def test_failed_child_fails_condition(self, sim):
-        a = sim.event()
-        b = sim.timeout(10.0)
-        cond = AnyOf(sim, [a, b])
-        sim.call_at(1.0, lambda: a.fail(RuntimeError("child")))
-        with pytest.raises(RuntimeError, match="child"):
-            sim.run(until=cond)
-
-
-class TestAllOf:
-    def test_waits_for_every_child(self, sim):
-        a, b, c = (sim.timeout(t, t) for t in (1.0, 3.0, 2.0))
-        cond = AllOf(sim, [a, b, c])
-        sim.run(until=cond)
-        assert sim.now == 3.0
-        assert set(cond.value.values()) == {1.0, 2.0, 3.0}
-
-    def test_operator_and(self, sim):
-        a, b = sim.timeout(1.0), sim.timeout(2.0)
-        cond = a & b
-        assert isinstance(cond, AllOf)
-        sim.run(until=cond)
-        assert sim.now == 2.0
-
-    def test_value_preserves_child_order(self, sim):
-        a, b = sim.timeout(5.0, "a"), sim.timeout(1.0, "b")
-        cond = AllOf(sim, [a, b])
-        sim.run(until=cond)
-        assert list(cond.value.keys()) == [a, b]
-
-    def test_cross_simulator_condition_rejected(self, sim):
-        other = Simulator()
-        with pytest.raises(SchedulingError):
-            AllOf(sim, [sim.event(), other.event()])

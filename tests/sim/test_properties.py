@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.sim import (
     BatchMeans,
     DiscreteEmpirical,
-    Resource,
     Simulator,
     Tally,
     TimeWeighted,
@@ -36,43 +35,24 @@ def test_events_always_processed_in_nondecreasing_time(ds):
 
 
 @given(delays)
-def test_clock_never_goes_backwards_through_processes(ds):
+def test_clock_never_goes_backwards_through_nested_scheduling(ds):
+    # Each first-stage callback schedules a second stage from inside
+    # the event loop; the clock must still only move forward.
     sim = Simulator()
     times = []
 
-    def proc(sim, d):
-        yield sim.timeout(d)
+    def second(_event):
         times.append(sim.now)
 
+    def first(event):
+        times.append(sim.now)
+        sim.defer(event.value, (second,))
+
     for d in ds:
-        sim.process(proc(sim, d))
+        sim.defer(d, (first,), d)
     sim.run()
     assert times == sorted(times)
-
-
-@given(
-    st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=30),
-    st.integers(min_value=1, max_value=10),
-)
-def test_resource_conservation_under_arbitrary_request_patterns(units, cap):
-    sim = Simulator()
-    res = Resource(sim, cap)
-    grants = []
-    for u in units:
-        if u <= cap:
-            grants.append(res.request(u))
-        # Invariant must hold after every operation.
-        assert res.available + res.in_use == res.capacity
-        assert 0 <= res.available <= res.capacity
-    for g in [g for g in grants if g.satisfied]:
-        res.release(g)
-        assert res.available + res.in_use == res.capacity
-    # Everyone released → releasing the newly satisfied ones too until idle.
-    while any(g.satisfied for g in grants):
-        for g in grants:
-            if g.satisfied:
-                res.release(g)
-    assert res.available == res.capacity
+    assert len(times) == 2 * len(ds)
 
 
 @given(
@@ -168,12 +148,11 @@ def test_simulation_is_deterministic_for_fixed_seed(seed, ds):
         rng = np.random.default_rng(seed)
         order = []
 
-        def proc(sim, d):
-            yield sim.timeout(d + rng.random())
+        def record(_event):
             order.append(sim.now)
 
         for d in ds:
-            sim.process(proc(sim, d))
+            sim.defer(d + rng.random(), (record,))
         sim.run()
         return order
 

@@ -128,37 +128,55 @@ def test_batched_rng_byte_identical_to_scalar_draws(monkeypatch) -> None:
     assert scalar == batched
 
 
-def test_direct_departures_byte_identical_to_timeout_events() -> None:
-    """defer()-scheduled departures == the Timeout/callback-list path.
+def test_run_while_matches_stepwise_drive_loop() -> None:
+    """The fused ``run_while`` loop == the stepwise ``peek()``/``step()``
+    drive loop, all four policies.
 
-    ``MulticlusterSimulation(direct_departures=...)`` switches between
-    the lightweight deferred departure and the original per-job Timeout
-    event; both must produce the same event sequence, counters and
-    trace bytes.
+    ``run_while`` inlines the heap pop and the ``step()`` body; both
+    loops must process the same event sequence, so counters, policy
+    statistics, the final clock and the report must match exactly.
     """
 
-    def run(direct: bool) -> tuple[bytes, int, int]:
-        tracer = Tracer()
+    def run(policy: str, fused: bool) -> str:
+        config = (SimulationConfig.single_cluster(seed=7) if policy == "SC"
+                  else SimulationConfig(policy=policy, seed=7))
         system = MulticlusterSimulation(
-            "LS", tracer=tracer, direct_departures=direct,
+            config.policy, capacities=config.capacities, batch_size=40,
         )
         factory = JobFactory(
-            WORKLOADS["das-s-128"](), das_t_900(), 16,
-            streams=StreamFactory(3),
+            WORKLOADS["das-s-128"](), das_t_900(), config.component_limit,
+            clusters=len(config.capacities),
+            routing_weights=config.routing_weights,
+            streams=StreamFactory(config.seed),
         )
-        ArrivalProcess(
-            system.sim, factory, 0.02, system.submit, limit=400,
-            rng=StreamFactory(3).get("arrivals.iat"),
-        )
-        system.sim.run()  # drains once the arrival limit is reached
-        trace_bytes = "\n".join(
-            repr((record.time, record.kind, sorted(record.payload.items())))
-            for record in tracer
-        ).encode()
-        return (trace_bytes, system.sim.events_processed,
-                system.sim.events_scheduled)
+        rate = factory.arrival_rate_for_gross_utilization(
+            0.6, config.capacity)
+        sim = system.sim
+        ArrivalProcess(sim, factory, rate, system.submit,
+                       rng=StreamFactory(config.seed).get("arrivals.iat"))
 
-    fast = run(True)
-    reference = run(False)
-    assert fast[0], "tracer recorded nothing; the runs did not execute"
-    assert fast == reference
+        def drive(target: int) -> None:
+            if fused:
+                sim.run_while(lambda: system.jobs_finished < target)
+            else:
+                while (system.jobs_finished < target
+                       and sim.peek() != float("inf")):
+                    sim.step()
+
+        drive(100)  # warmup
+        system.metrics.reset(sim.now)
+        drive(500)
+        assert system.jobs_finished == 500
+        report = system.metrics.report(sim.now)
+        return repr((
+            sim.events_processed, sim.events_scheduled,
+            system.jobs_started, system.jobs_finished,
+            system.policy.placement_attempts,
+            system.policy.placement_failures,
+            sorted((q.name, q.times_disabled)
+                   for q in system.policy.queues()),
+            sim.now, sorted(report.as_dict().items()),
+        ))
+
+    for policy in ("GS", "LS", "LP", "SC"):
+        assert run(policy, True) == run(policy, False), policy

@@ -9,7 +9,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -29,7 +28,7 @@ def test_examples_directory_complete():
     assert {
         "quickstart", "policy_comparison", "size_limit_study",
         "trace_tools", "viability_threshold", "saturation_diagnosis",
-        "fairness_study", "engine_demo",
+        "fairness_study",
     } <= present
 
 
@@ -47,14 +46,6 @@ def test_trace_tools_runs(capsys):
     assert "generated 30000 jobs" in out
     assert "most frequent job sizes" in out
     assert "trace-derived" in out
-
-
-@pytest.mark.slow
-def test_engine_demo_runs(capsys):
-    load_example("engine_demo").main()
-    out = capsys.readouterr().out
-    assert "Erlang-C reference" in out
-    assert "OK:" in out
 
 
 def test_every_example_has_docstring_and_main():
