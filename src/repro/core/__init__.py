@@ -25,7 +25,7 @@ from .policies import (
     SCPolicy,
     make_policy,
 )
-from .queues import JobQueue, QueueRing
+from .queues import JobQueue
 from .requests import RequestType, try_place
 from .system import (
     MulticlusterSimulation,
@@ -44,7 +44,7 @@ __all__ = [
     "worst_fit", "first_fit", "best_fit", "place_components",
     "PLACEMENT_RULES", "RequestType", "try_place",
     # queues
-    "JobQueue", "QueueRing",
+    "JobQueue",
     # policies
     "Policy", "GSPolicy", "LSPolicy", "LPPolicy", "SCPolicy",
     "POLICIES", "make_policy",

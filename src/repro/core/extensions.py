@@ -103,7 +103,7 @@ class BackfillGSPolicy(Policy):
                 )
                 if assignment is None:
                     continue
-                self.queue._jobs.remove(job)
+                self.queue.jobs.remove(job)
                 self.system.start_job(job, assignment,
                                       from_global_queue=True)
                 started = True
@@ -220,7 +220,7 @@ class EasyBackfillGSPolicy(Policy):
             # it finishes before the reservation, so the processors it
             # takes are returned in time.  (This is the EASY guarantee
             # with exact runtimes.)
-            self.queue._jobs.remove(job)
+            self.queue.jobs.remove(job)
             self._start(job, assignment)
             self.backfills += 1
 

@@ -1,29 +1,24 @@
-"""FCFS job queues with the paper's enable/disable protocol.
+"""FCFS job queues.
 
 All schedulers in the paper are FCFS per queue: only the job at the head
-of a queue may start.  Policies with several queues (LS, LP) visit the
-*enabled* queues round-robin, starting at most one job from each queue per
-round; a queue whose head does not fit is *disabled* until the next job
-departs from the system, and at each departure the disabled queues are
-re-enabled in the order in which they were disabled (§2.5).
-
-:class:`JobQueue` is the single FIFO queue; :class:`QueueRing` implements
-the visiting/disable/re-enable machinery shared by LS and LP.
+of a queue may start.  :class:`JobQueue` is that FIFO queue plus its
+name and counters; the queue rules that act on it (§2.5) live in
+:mod:`repro.core.rounds`, which works on the queue's :attr:`jobs` deque.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .jobs import Job
 
-__all__ = ["JobQueue", "QueueRing"]
+__all__ = ["JobQueue"]
 
 
 class JobQueue:
-    """A FIFO queue of jobs with an enabled flag.
+    """A FIFO queue of jobs.
 
     Attributes
     ----------
@@ -36,9 +31,12 @@ class JobQueue:
         Position of this queue in its policy's local-queue list (0 for
         global/standalone queues).  Precomputed so the scheduling hot
         path never scans ``local_queues.index(queue)``.
+    jobs:
+        The waiting jobs, head first: the deque the queue rules of
+        :mod:`repro.core.rounds` drain.
     """
 
-    __slots__ = ("name", "is_global", "index", "enabled", "_jobs",
+    __slots__ = ("name", "is_global", "index", "jobs",
                  "total_enqueued", "times_disabled")
 
     def __init__(self, name: str, *, is_global: bool = False,
@@ -46,143 +44,33 @@ class JobQueue:
         self.name = name
         self.is_global = is_global
         self.index = index
-        self.enabled = True
-        self._jobs: deque["Job"] = deque()
+        self.jobs: deque["Job"] = deque()
         self.total_enqueued = 0
         #: How often this queue was disabled (head did not fit).
         self.times_disabled = 0
 
     def push(self, job: "Job") -> None:
         """Append a job to the tail."""
-        self._jobs.append(job)
+        self.jobs.append(job)
         self.total_enqueued += 1
 
     @property
     def head(self) -> Optional["Job"]:
         """The job eligible to start next (None when empty)."""
-        return self._jobs[0] if self._jobs else None
+        return self.jobs[0] if self.jobs else None
 
     def pop(self) -> "Job":
         """Remove and return the head job."""
-        return self._jobs.popleft()
+        return self.jobs.popleft()
 
     def __len__(self) -> int:
-        return len(self._jobs)
+        return len(self.jobs)
 
     def __bool__(self) -> bool:  # truthiness = has jobs
-        return bool(self._jobs)
+        return bool(self.jobs)
 
     def __iter__(self) -> Iterator["Job"]:
-        return iter(self._jobs)
+        return iter(self.jobs)
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"<JobQueue {self.name} len={len(self)} {state}>"
-
-
-class QueueRing:
-    """The enable/disable visiting protocol over a set of queues.
-
-    The ring keeps two ordered lists: the *visit list* of enabled queues
-    (in enablement order) and the *disabled list* (in disablement order).
-    ``visit()`` yields enabled queues for one round; ``disable()`` moves a
-    queue out of rotation; ``enable_all()`` — called at every departure —
-    moves the disabled queues back, preserving their disablement order,
-    optionally putting the global queue first (the LP rule: *"they are
-    always enabled starting with the global queue"*).
-    """
-
-    def __init__(self, queues: list[JobQueue],
-                 observer: Optional[Callable[[str, JobQueue, int], None]]
-                 = None) -> None:
-        if not queues:
-            raise ValueError("need at least one queue")
-        self.queues = list(queues)
-        self._visit: list[JobQueue] = list(queues)
-        self._disabled: list[JobQueue] = []
-        #: Optional ``(action, queue, order)`` callback fired on every
-        #: state change: ``("disable", q, position-in-disabled-list)``,
-        #: ``("enable", q, position-in-re-enable-sequence)`` and
-        #: ``("reenable", q, 0)`` for LP's out-of-order re-enable.  The
-        #: observability layer streams these as decision events.
-        self.observer = observer
-
-    # -- state ---------------------------------------------------------------
-
-    @property
-    def enabled_queues(self) -> tuple[JobQueue, ...]:
-        """Enabled queues in visit order."""
-        return tuple(self._visit)
-
-    @property
-    def disabled_queues(self) -> tuple[JobQueue, ...]:
-        """Disabled queues in disablement order."""
-        return tuple(self._disabled)
-
-    # -- protocol ---------------------------------------------------------------
-
-    def visit(self) -> tuple[JobQueue, ...]:
-        """Snapshot of enabled queues for one visiting round.
-
-        A snapshot (not a live view) so that disabling during the round
-        does not skip queues unpredictably.
-        """
-        return tuple(self._visit)
-
-    def disable(self, queue: JobQueue) -> None:
-        """Take ``queue`` out of rotation until the next departure."""
-        if not queue.enabled:
-            return
-        queue.enabled = False
-        self._visit.remove(queue)
-        self._disabled.append(queue)
-        queue.times_disabled += 1
-        if self.observer is not None:
-            self.observer("disable", queue, len(self._disabled) - 1)
-
-    def enable_all(self, *, global_first: bool = False,
-                   skip_global: bool = False) -> None:
-        """Re-enable disabled queues in disablement order.
-
-        With ``global_first`` the global queue (if disabled) re-enters
-        the visit list before the local queues — the LP departure rule
-        when a local queue is empty.  With ``skip_global`` the global
-        queue stays disabled — the LP rule when no local queue is empty.
-        """
-        disabled, self._disabled = self._disabled, []
-        if global_first:
-            disabled.sort(key=lambda q: not q.is_global)
-        order = 0
-        for queue in disabled:
-            if skip_global and queue.is_global:
-                self._disabled.append(queue)
-                continue
-            queue.enabled = True
-            self._visit.append(queue)
-            if self.observer is not None:
-                self.observer("enable", queue, order)
-            order += 1
-
-    def reenable(self, queue: JobQueue) -> None:
-        """Re-enable one specific queue out of departure order.
-
-        Used by LP when a local queue empties mid-round: the global
-        queue immediately joins the visit list.
-        """
-        if queue.enabled:
-            return
-        self._disabled.remove(queue)
-        queue.enabled = True
-        self._visit.append(queue)
-        if self.observer is not None:
-            self.observer("reenable", queue, 0)
-
-    def total_jobs(self) -> int:
-        """Jobs waiting across all queues."""
-        return sum(len(q) for q in self.queues)
-
-    def __repr__(self) -> str:
-        return (
-            f"<QueueRing enabled={len(self._visit)} "
-            f"disabled={len(self._disabled)} jobs={self.total_jobs()}>"
-        )
+        return f"<JobQueue {self.name} len={len(self)}>"

@@ -5,7 +5,8 @@ chronological replay (no event engine, no callbacks, no shared code
 beyond the placement rule) and the two must produce identical start
 and finish times for every job.  Any bug in the engine's event
 ordering, the policy's drain loop or the departure plumbing breaks
-this equivalence.
+this equivalence.  The same replay on one cluster of the combined
+size, with every job one total request, is SC.
 """
 
 import heapq
@@ -21,16 +22,19 @@ from repro.workload import JobSpec
 from repro.workload.splitting import split_size
 
 CAPS = (32, 32, 32, 32)
+SC_CAPS = (128,)
 EXTENSION = 1.25
 
 
-def reference_gs(jobs):
+def reference_gs(jobs, caps=CAPS):
     """Chronological replay of GS: FCFS, WF over distinct clusters.
 
     ``jobs``: list of (arrival, components, gross_service).
-    Returns [(start, finish)] per job, same order.
+    Returns [(start, finish)] per job, same order.  With ``caps`` a
+    single cluster and one component per job this is SC: FCFS, a job
+    fits iff its total size fits in the cluster.
     """
-    free = list(CAPS)
+    free = list(caps)
     queue = []                   # indices, FCFS
     arrivals = sorted(range(len(jobs)), key=lambda i: jobs[i][0])
     departures = []              # heap of (finish, seq, job index)
@@ -84,9 +88,10 @@ def reference_gs(jobs):
     return [tuple(results[i]) for i in range(len(jobs))]
 
 
-def engine_gs(jobs):
-    """The same workload through the real engine + GS policy."""
-    system = MulticlusterSimulation("GS", CAPS,
+def engine_gs(jobs, policy="GS", caps=CAPS):
+    """The same workload through the real engine + GS policy (or
+    ``policy`` on ``caps``)."""
+    system = MulticlusterSimulation(policy, caps,
                                     extension_factor=EXTENSION)
     tracked = {}
     for i, (arrival, components, gross) in enumerate(jobs):
@@ -139,6 +144,21 @@ def test_engine_gs_matches_reference(raw):
     jobs = build_jobs(raw)
     expected = reference_gs(jobs)
     actual = engine_gs(jobs)
+    for i, ((es, ef), (as_, af)) in enumerate(zip(expected, actual)):
+        assert as_ == pytest.approx(es, abs=1e-6), (i, jobs[i])
+        assert af == pytest.approx(ef, abs=1e-6), (i, jobs[i])
+
+
+@given(job_stream)
+@settings(max_examples=60, deadline=None)
+def test_engine_sc_matches_reference(raw):
+    # SC: every job is one total request on one cluster of the
+    # combined size, so no extension factor applies.
+    jobs = [(arrival, (size,), service)
+            for (arrival, _, _), (_, size, service)
+            in zip(build_jobs(raw), raw)]
+    expected = reference_gs(jobs, caps=SC_CAPS)
+    actual = engine_gs(jobs, policy="SC", caps=SC_CAPS)
     for i, ((es, ef), (as_, af)) in enumerate(zip(expected, actual)):
         assert as_ == pytest.approx(es, abs=1e-6), (i, jobs[i])
         assert af == pytest.approx(ef, abs=1e-6), (i, jobs[i])
