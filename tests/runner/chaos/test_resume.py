@@ -17,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from contextlib import suppress
 
 import pytest
 
@@ -83,6 +84,9 @@ class TestInterruptedSweepResumes:
                           cache_dir=str(cache_dir))],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env={**os.environ, FAULTS_ENV: str(fault_plan)},
+            # Own process group: the finally below kills the child's
+            # forked worker too, not just the child.
+            start_new_session=True,
         )
         try:
             # The hang on point 2 holds the child exactly here: point 1
@@ -92,9 +96,9 @@ class TestInterruptedSweepResumes:
             child.send_signal(signal.SIGINT)
             child.wait(timeout=30)
         finally:
-            if child.poll() is None:
-                child.kill()
-                child.wait()
+            with suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
         assert child.returncode != 0, "interrupted child exited cleanly"
 
         assert cache.contains(keys[0])
