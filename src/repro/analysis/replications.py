@@ -133,16 +133,16 @@ def replicate_sweep(label: str, config: SimulationConfig,
     through the grid as a lane chain, stopping at its own saturation
     point, while other seeds' lanes keep the kernel busy.  Exactly the
     serial task set executes.  ``backend="auto"`` picks batch when
-    numpy is available and ``replications`` clears the width threshold
-    (:func:`~repro.sim.backend.resolve_backend`).  Per-seed statistics
-    are contractually identical to the scalar engine's, but cache
-    entries are keyed per (resolved) backend, so the two never mix.
+    numpy is available and the model is supported
+    (:func:`~repro.sim.backend.resolve_backend`).  Per-seed points are
+    byte-identical to the scalar engine's, so both backends share one
+    set of cache entries.
     """
     if replications < 1:
         raise ValueError(
             f"replications must be >= 1, got {replications!r}"
         )
-    backend = resolve_backend(backend, config, width=replications,
+    backend = resolve_backend(backend, config,
                               size_distribution=size_distribution)
     base = config.seed if base_seed is None else base_seed
     seeds = tuple(base + 1_000 * i for i in range(replications))

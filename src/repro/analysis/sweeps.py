@@ -128,8 +128,7 @@ def sweep_tasks(config: SimulationConfig, size_distribution,
     """The full planned task list of a sweep, in grid order.
 
     Shared by :func:`sweep` and the CLI's ``--resume`` reporting so
-    both derive the identical campaign identity (including the
-    backend, which is part of every non-scalar task key).
+    both derive the identical campaign identity.
     """
     return [
         RunTask(config, size_distribution, service_distribution, rho,
@@ -177,9 +176,9 @@ def sweep(label: str, config: SimulationConfig, size_distribution,
         same inputs.
     backend:
         Simulation engine: ``"scalar"`` (default), ``"batch"`` (the
-        batch lane kernel — statistically identical, cached under
-        distinct keys), or ``"auto"`` (batch when numpy is available
-        and the grid is wide enough; see
+        batch lane kernel — byte-identical points under the same cache
+        keys), or ``"auto"`` (batch when numpy is available and the
+        model is supported; see
         :func:`~repro.sim.backend.resolve_backend`).  The batch path
         fuses the whole grid into one kernel call when neither fault
         injection nor observability is armed; like the ``workers > 1``
@@ -190,7 +189,7 @@ def sweep(label: str, config: SimulationConfig, size_distribution,
     """
     if not utilizations:
         utilizations = default_grid()
-    backend = resolve_backend(backend, config, width=len(utilizations),
+    backend = resolve_backend(backend, config,
                               size_distribution=size_distribution)
     workers = resolve_workers(workers)
     store = resolve_cache(cache)

@@ -47,7 +47,7 @@ Examples::
     repro-sim obs validate .repro-obs
     repro-sim obs dash --iterations 1
     repro-sim obs trace --out trace.json
-    repro-sim serve --socket /tmp/repro.sock --fleet 4
+    repro-sim serve --socket /tmp/repro.sock
     repro-sim submit --policy GS --grid 0.2:0.8:0.1 --socket /tmp/repro.sock
     repro-sim attach 9df5b409 --socket /tmp/repro.sock
 """
@@ -164,12 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["scalar", "batch", "auto"],
                          help="simulation engine: the scalar event "
                               "loop, the batch lane kernel "
-                              "(identical statistics, cached "
-                              "under distinct keys; batch needs "
-                              "numpy — pip install repro[batch]), or "
-                              "auto to pick batch whenever numpy is "
-                              "available and the campaign is wide "
-                              "enough to benefit")
+                              "(byte-identical points under the same "
+                              "cache keys; batch needs numpy — pip "
+                              "install repro[batch]), or auto to pick "
+                              "batch whenever numpy is available and "
+                              "the model is supported")
     sweep_p.add_argument("--replications", type=int, default=1,
                          metavar="N",
                          help="independent replications per grid "
@@ -362,9 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default .repro-cache); campaign "
                               "ledgers and all results live here, so "
                               "a restarted server resumes from it")
-    serve_p.add_argument("--fleet", type=int, default=4, metavar="N",
+    serve_p.add_argument("--fleet", type=int, default=1, metavar="N",
                          help="concurrent engine executions across "
-                              "all campaigns (default 4)")
+                              "all campaigns (default 1: engines "
+                              "share one GIL, so more threads only "
+                              "trade it)")
     serve_p.add_argument("--task-workers", type=int, default=1,
                          metavar="N",
                          help="worker processes per task execution "
@@ -388,9 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="utilization grid start:stop:step")
     submit_p.add_argument("--backend", default="scalar",
                           choices=["scalar", "batch", "auto"],
-                          help="simulation engine (same semantics as "
-                               "'sweep --backend'; the service fuses "
-                               "batch grids into lane-kernel calls)")
+                          help="accepted for compatibility: the "
+                               "service runs every fusable campaign "
+                               "through the batch lane kernel and the "
+                               "rest through the scalar engine, "
+                               "whatever is asked (the points are "
+                               "identical)")
     submit_p.add_argument("--label", default=None,
                           help="campaign label (default: the policy "
                                "name, matching one-shot sweeps)")
@@ -503,7 +507,6 @@ def _report_resume(args, config, sizes, grid) -> CacheSpec:
         resolve_cache,
         task_keys,
     )
-    from repro.sim.backend import resolve_backend
 
     if args.cache is False:
         raise SystemExit("--resume requires the result cache "
@@ -512,14 +515,7 @@ def _report_resume(args, config, sizes, grid) -> CacheSpec:
     # environment leaves the cache off is it forced to the default
     # location (resume without a cache is meaningless).
     store = resolve_cache(args.cache) or resolve_cache(True)
-    # "auto" must resolve to the backend the sweep will actually run
-    # with before keys are derived, or resume would look up a campaign
-    # that never existed.
-    backend = resolve_backend(getattr(args, "backend", "scalar"),
-                              config, width=len(grid),
-                              size_distribution=sizes)
-    tasks = sweep_tasks(config, sizes, das_t_900(), grid, backend)
-    keys = task_keys(tasks)
+    keys = task_keys(sweep_tasks(config, sizes, das_t_900(), grid))
     manifest = load_campaign(store,
                              campaign_key("sweep", args.policy, keys))
     if manifest is None:

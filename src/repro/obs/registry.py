@@ -18,6 +18,7 @@ cross-process machinery.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Dict, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY"]
@@ -30,6 +31,9 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY"]
 _BUCKET_FACTOR = 1.1
 
 _LOG_FACTOR = math.log(_BUCKET_FACTOR)
+
+#: The sweep service increments counters from executor threads.
+_COUNTER_LOCK = threading.Lock()
 
 
 class Counter:
@@ -46,7 +50,8 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, "
                              f"got {amount!r}")
-        self.value += amount
+        with _COUNTER_LOCK:
+            self.value += amount
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}={self.value}>"

@@ -27,6 +27,7 @@ import contextlib
 import json
 import os
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
@@ -50,6 +51,9 @@ SCHEMA_TAG = "repro.runner/1"
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: The sweep service loads and stores from executor threads.
+_COUNTER_LOCK = threading.Lock()
 
 
 def atomic_write_json(path: Path, obj: object) -> None:
@@ -110,18 +114,22 @@ class ResultCache:
         :class:`CacheIntegrityWarning` so silent corruption is visible
         without spamming a warning per entry.
         """
+        point = self._read(self.path_for(key))
+        with _COUNTER_LOCK:
+            self.hits += point is not None
+            self.misses += point is None
+        return point
+
+    def _read(self, path: Path) -> Optional[SweepPoint]:
         from repro.analysis.points import point_from_dict
 
-        path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
         except FileNotFoundError:
-            self.misses += 1
             return None
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             self._warn_once(path, f"unreadable entry ({exc})")
-            self.misses += 1
             return None
         try:
             if payload["schema"] != SCHEMA_TAG:
@@ -129,15 +137,11 @@ class ResultCache:
                     path,
                     f"schema tag {payload['schema']!r} != {SCHEMA_TAG!r}",
                 )
-                self.misses += 1
                 return None
-            point = point_from_dict(payload["point"])
+            return point_from_dict(payload["point"])
         except (KeyError, TypeError) as exc:
             self._warn_once(path, f"malformed payload ({exc!r})")
-            self.misses += 1
             return None
-        self.hits += 1
-        return point
 
     def store(self, key: str, point: SweepPoint,
               description: str = "") -> None:
@@ -152,7 +156,8 @@ class ResultCache:
             "point": point_to_dict(point),
         }
         atomic_write_json(path, payload)
-        self.stores += 1
+        with _COUNTER_LOCK:
+            self.stores += 1
 
     def stats(self) -> dict[str, int]:
         """Lifetime counters of this cache instance (JSON-ready).

@@ -28,7 +28,8 @@ The runner contracts are preserved exactly:
 * **bit-identical results** — lanes never interact, so a task's point
   is independent of which tasks share its kernel call, of slot
   assignment, and of refill order; the differential-oracle and
-  golden-corpus suites pin this against the scalar engine.
+  golden-corpus suites pin this against the scalar engine, which is
+  why a fused and a scalar point for one task share a cache key.
 
 ``follow_up`` supports dependent task chains (a replication sweep
 schedules seed *s*'s next grid point only if its current point did not
@@ -135,11 +136,12 @@ def execute_fused(tasks: Sequence[RunTask], *,
 
     ``on_result`` is invoked once per task the moment its point is
     known — at enqueue for cache hits, at lane retirement (after the
-    cache checkpoint) for fresh runs — so a driver can stream points
-    out mid-wave instead of waiting for the whole call to return.
-    The sweep service uses this to resolve per-task futures while the
-    kernel is still running; like ``follow_up`` it observes results,
-    it can never alter them.
+    cache checkpoint, before the ``finish`` heartbeat) for fresh runs
+    — so a driver can stream points out mid-wave instead of waiting
+    for the whole call to return.  The sweep service uses this to
+    checkpoint and resolve per-task futures while the kernel is still
+    running; like ``follow_up`` it observes results, it can never
+    alter them.
 
     The caller is responsible for gating on :func:`fused_eligible`
     (and for only passing tasks the batch kernel supports —
@@ -218,9 +220,9 @@ def execute_fused(tasks: Sequence[RunTask], *,
                 results[key] = point
                 if store is not None:
                     store.store(key, point, task.describe())
-                _progress.notify("finish", key, task.describe())
                 if on_result is not None:
                     on_result(task, key, point)
+                _progress.notify("finish", key, task.describe())
                 settled.append((task, key, point))
             if retired:
                 # Follow-ups may enqueue to this group (refilling the

@@ -39,7 +39,10 @@ and the remaining futures are cancelled rather than left to hang.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -279,29 +282,50 @@ def _run_serial(run: _Execution, pending: Sequence[int]) -> None:
             break
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> int:
+def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Abandon ``pool``, killing its worker processes.
 
     Replacing workers (rather than waiting on them) is what makes hung
     tasks survivable: a worker stuck in an infinite loop or an injected
-    ``hang`` fault would otherwise pin the pool forever.  Returns the
-    number of processes terminated (the ``_processes`` peek degrades to
-    0 gracefully if the executor internals ever change).
+    ``hang`` fault would otherwise pin the pool forever, and with it
+    interpreter exit.  A worker alive a second after SIGTERM is killed.
     """
-    # Snapshot the workers *before* shutdown: the executor drops its
-    # ``_processes`` reference inside ``shutdown()``, so peeking after
-    # would find nothing and leave a hung worker sleeping — pinning the
-    # executor's manager thread (and interpreter exit) until it wakes.
-    processes = dict(getattr(pool, "_processes", None) or {})
+    # The executor's own dict, not a copy: ``shutdown()`` drops the
+    # executor's reference to it, and a worker forked after this line
+    # still lands in it.
+    processes = getattr(pool, "_processes", None) or {}
     pool.shutdown(wait=False, cancel_futures=True)
-    killed = 0
-    for proc in processes.values():
-        try:
-            proc.terminate()
-            killed += 1
-        except Exception:
-            pass
-    return killed
+    workers = list(processes.values())
+    for proc in workers:
+        proc.terminate()
+    for proc in workers:
+        proc.join(1.0)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join()
+
+
+@contextlib.contextmanager
+def _interrupt_after_fork():
+    """Hold a SIGINT that lands while the pool forks its workers.
+
+    CPython would run it inside an at-fork hook, which reports the
+    ``KeyboardInterrupt`` as "Exception ignored" and drops it, so the
+    campaign ran on.  It is raised after the submissions instead.
+    """
+    if (threading.current_thread() is not threading.main_thread()
+            or signal.getsignal(signal.SIGINT)
+            is not signal.default_int_handler):
+        yield
+        return
+    caught: list[int] = []
+    signal.signal(signal.SIGINT, lambda signum, _: caught.append(signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+    if caught:
+        raise KeyboardInterrupt
 
 
 def _harvest_round(run: _Execution,
@@ -394,9 +418,10 @@ def _run_round(run: _Execution, pool: ProcessPoolExecutor,
     hung worker.
     """
     inflight: list[tuple[int, object]] = []
-    for i in queue:
-        run.announce_start(i)
-        inflight.append((i, pool.submit(run.worker, run.tasks[i])))
+    with _interrupt_after_fork():  # the first submit forks the workers
+        for i in queue:
+            run.announce_start(i)
+            inflight.append((i, pool.submit(run.worker, run.tasks[i])))
     carry: list[int] = []
     while inflight:
         i, future = inflight.pop(0)
@@ -443,6 +468,7 @@ def execute(tasks: Sequence[RunTask], *,
             worker: Callable[[RunTask], SweepPoint] = run_task,
             retry: Optional[RetryPolicy] = None,
             budget: Optional[RetryBudget] = None,
+            probe: bool = True,
             ) -> list[SweepPoint]:
     """Run ``tasks``, returning results in input (task-key) order.
 
@@ -457,6 +483,9 @@ def execute(tasks: Sequence[RunTask], *,
     :class:`~repro.runner.retry.RetryBudget` across several ``execute``
     calls so the retry bound spans the whole campaign; when ``None`` a
     fresh budget is derived from ``retry.retry_budget`` for this call.
+
+    ``probe=False`` skips the cache read for a caller that has just
+    seen every task miss; fresh results are still checkpointed.
 
     ``worker`` is injectable for tests (engine-invocation counters); it
     must stay the module-level default for multi-process runs to be
@@ -481,7 +510,7 @@ def execute(tasks: Sequence[RunTask], *,
     results: list[Optional[SweepPoint]] = [None] * len(tasks)
     pending: list[int] = []
     for i, key in enumerate(keys):
-        hit = store.load(key) if store is not None else None
+        hit = store.load(key) if store is not None and probe else None
         if hit is not None:
             results[i] = hit
             _progress.notify("hit", key, tasks[i].describe())

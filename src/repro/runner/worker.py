@@ -65,9 +65,8 @@ def run_task(task: RunTask) -> SweepPoint:
 
     ``task.backend`` selects the engine: the scalar event loop
     (default) or the batch lane kernel at width 1.  Both produce
-    identical statistics for the same task — the backend only changes
-    *how* the point is computed — but cache keys keep them apart (see
-    :func:`~repro.runner.task.task_key`).
+    identical points for the same task — the backend only changes
+    *how* the point is computed, so it is not part of the task key.
     """
     if task.backend == "batch":
         from repro.sim.batch import run_batch_task

@@ -20,14 +20,14 @@ over a local Unix-domain socket.  One connection carries one request:
 
 A *submission spec* is the JSON description of one campaign — the
 same information a ``repro-sim sweep`` invocation carries: a labelled
-list of (configuration, offered load) cells over a named workload,
-with a backend request resolved server-side **before** task keys are
-derived (exactly like the one-shot path, so the service addresses the
-same cache entries byte for byte).  :func:`spec_tasks` is the single
-point turning a spec into :class:`~repro.runner.task.RunTask`\\ s;
-because the campaign key hashes the resulting task keys, equal specs
-always map to the same campaign and reattachment can never mix state
-across campaigns.
+list of (configuration, offered load) cells over a named workload.
+The spec's ``backend`` field is still accepted (old clients and
+ledgers carry it) but never reaches a task key: the server picks the
+engine itself, and both compute identical points.  :func:`spec_tasks`
+is the single point turning a spec into
+:class:`~repro.runner.task.RunTask`\\ s; because the campaign key
+hashes the resulting task keys, equal specs always map to the same
+campaign and reattachment can never mix state across campaigns.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import Iterator, Optional, Sequence
 from repro.core.system import SimulationConfig
 from repro.obs.events import EVENT_SCHEMA, SERVICE_EVENT_SCHEMAS
 from repro.runner import RunTask, campaign_key, task_keys
-from repro.sim.backend import resolve_backend
 from repro.workload import WORKLOADS, das_t_900
 
 __all__ = [
@@ -201,21 +200,15 @@ def sweep_spec(label: str, config: SimulationConfig,
 def spec_tasks(spec: dict) -> list[RunTask]:
     """The planned task list of a (normalized) spec, in cell order.
 
-    The backend request resolves here — before any key derivation,
-    exactly like the one-shot paths — so the service and a local
-    ``sweep()`` over the same inputs address identical cache entries.
+    The service and a local ``sweep()`` over the same inputs address
+    identical cache entries, whatever backend either asked for.
     """
     sizes = WORKLOADS[spec["workload"]]()
     service = das_t_900()
-    configs = [config_from_dict(cell["config"])
-               for cell in spec["cells"]]
-    backend = resolve_backend(spec["backend"], configs[0],
-                              width=len(configs),
-                              size_distribution=sizes)
     return [
-        RunTask(config, sizes, service, cell["offered_gross"],
-                backend=backend)
-        for config, cell in zip(configs, spec["cells"])
+        RunTask(config_from_dict(cell["config"]), sizes, service,
+                cell["offered_gross"])
+        for cell in spec["cells"]
     ]
 
 

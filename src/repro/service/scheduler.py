@@ -8,12 +8,10 @@ many concurrent campaigns want a task, it runs **at most once** —
   :class:`~repro.runner.cache.ResultCache` (zero engine calls);
 * a key already in flight hands back the in-flight future (the second
   client awaits the first client's execution);
-* only a key that is neither cached nor in flight is executed, through
-  the ordinary :func:`~repro.runner.pool.execute` path — so the
-  round-based crash/hang/timeout recovery of
-  :mod:`repro.runner.pool` / :mod:`repro.runner.retry` applies under
-  the service unchanged (an armed fault plan routes execution through
-  a worker pool whose children, never the server, absorb the crash).
+* only a key that is neither cached nor in flight is executed.
+
+Each key is probed once: execution never reads the cache again, and a
+fresh point is checkpointed before its future settles.
 
 Computations are *detached* ``asyncio.Task``\\ s owned by the broker,
 not by the requesting connection: a client that disconnects mid-flight
@@ -21,11 +19,16 @@ cancels only its own ``await`` (shielded), while the computation runs
 to completion and checkpoints to the cache — exactly the semantics a
 killed one-shot campaign has, where completed tasks stay completed.
 
-Batch-backend campaigns go through :meth:`TaskBroker.run_fused`: the
-owned (non-cached, non-inflight) remainder of the grid becomes one
+Fusable campaigns, whatever backend the client named, go through
+:meth:`TaskBroker.run_fused`: the owned (non-cached, non-inflight)
+remainder of the grid becomes one
 :func:`~repro.runner.fused.execute_fused` call whose ``on_result``
 callback resolves each task's future the moment its lane retires, so
-points stream to clients mid-wave.
+points stream to clients mid-wave.  The rest goes through
+:meth:`TaskBroker.point_for` and :func:`~repro.runner.pool.execute`,
+whose crash/hang/timeout recovery applies under the service unchanged
+(an armed fault plan routes execution through a worker pool whose
+children, never the server, absorb the crash).
 
 Concurrency is bounded by a fleet semaphore counting concurrent engine
 invocations (a fused kernel call is one invocation, however many lanes
@@ -61,7 +64,7 @@ def _consume_exception(future: "asyncio.Future") -> None:
 class TaskBroker:
     """Single-flight execution of tasks over one shared fleet."""
 
-    def __init__(self, store: ResultCache, *, fleet: int = 4,
+    def __init__(self, store: ResultCache, *, fleet: int = 1,
                  workers: int = 1,
                  retry: Optional[RetryPolicy] = None,
                  fused_width: int = DEFAULT_FUSED_WIDTH) -> None:
@@ -92,33 +95,42 @@ class TaskBroker:
                 "inflight": len(self.inflight),
                 "cache": self.store.stats()}
 
+    def _known(self, task: RunTask, key: str
+               ) -> "Optional[tuple[str, object]]":
+        """``("deduped", future)``, ``("hit", point)``, or ``None``: the
+        caller claims the key.  The probe is one small file read on the
+        loop, so nothing yields before the claim, and cells reach the
+        fleet in the order they were requested."""
+        existing = self.inflight.get(key)
+        if existing is not None:
+            self.counters["tasks.deduped"] += 1
+            return "deduped", existing
+        hit = self.store.load(key)
+        if hit is None:
+            return None
+        self.counters["tasks.hit"] += 1
+        _progress.notify("hit", key, task.describe())
+        return "hit", hit
+
     async def point_for(self, task: RunTask, key: str) -> _Resolution:
         """Resolve one task: cache hit, join in-flight, or execute.
 
-        The cache probe is one small file read and runs on the loop:
-        nothing yields between the in-flight check, the probe and the
-        claim, so no concurrent campaign can claim the key in between,
-        and the cells of a campaign reach the fleet semaphore in the
-        order they were requested.  The await on an in-flight
-        computation is shielded — a cancelled client never cancels work
+        Awaits are shielded — a cancelled client never cancels work
         other clients (or the cache) will want.
         """
-        existing = self.inflight.get(key)
-        if existing is None:
-            hit = self.store.load(key)
-            if hit is not None:
-                self.counters["tasks.hit"] += 1
-                _progress.notify("hit", key, task.describe())
-                return hit, "hit"
+        known = self._known(task, key)
+        if known is None:
             handle = asyncio.create_task(self._compute(task, key))
             self._register(key, handle)
             return await asyncio.shield(handle), "computed"
-        self.counters["tasks.deduped"] += 1
-        return await asyncio.shield(existing), "deduped"
+        status, value = known
+        if status == "hit":
+            return value, status
+        return await asyncio.shield(value), status
 
     async def run_fused(self, pairs: "Sequence[tuple[RunTask, str]]"
                         ) -> "dict[str, tuple[str, object]]":
-        """Plan a batch-backend campaign; resolve cells incrementally.
+        """Plan a fused campaign; resolve cells incrementally.
 
         Returns ``{key: ("hit", point) | (status, future)}`` covering
         every pair — cached cells resolve immediately, in-flight cells
@@ -129,33 +141,22 @@ class TaskBroker:
         """
         loop = asyncio.get_running_loop()
         resolved: "dict[str, tuple[str, object]]" = {}
-        fresh: "list[tuple[RunTask, str]]" = []
+        fresh: "list[RunTask]" = []
         futures: "dict[str, asyncio.Future]" = {}
         for task, key in pairs:
             if key in resolved:
                 continue
-            existing = self.inflight.get(key)
-            if existing is None:
-                hit = self.store.load(key)
-                if hit is not None:
-                    self.counters["tasks.hit"] += 1
-                    _progress.notify("hit", key, task.describe())
-                    resolved[key] = ("hit", hit)
-                    continue
-                # Claimed with no await since the in-flight check (see
-                # point_for), so the task cannot run twice.
+            known = self._known(task, key)
+            if known is None:
                 future = loop.create_future()
                 self._register(key, future)
                 futures[key] = future
-                fresh.append((task, key))
-                resolved[key] = ("computed", future)
-                continue
-            self.counters["tasks.deduped"] += 1
-            resolved[key] = ("deduped", existing)
+                fresh.append(task)
+                known = ("computed", future)
+            resolved[key] = known
         if fresh:
             self.counters["fused.calls"] += 1
-            driver = asyncio.create_task(
-                self._drive_fused([t for t, _ in fresh], futures))
+            driver = asyncio.create_task(self._drive_fused(fresh, futures))
             self._drivers.add(driver)
             driver.add_done_callback(self._drivers.discard)
         return resolved
@@ -181,12 +182,13 @@ class TaskBroker:
         return point
 
     def _execute_one(self, task: RunTask) -> "SweepPoint":
-        # execute() checkpoints to the cache, emits the per-task
-        # heartbeats, and applies the retry/timeout/crash-recovery
-        # machinery; workers=1 without faults or a timeout runs the
-        # engine right here in this thread.
+        # execute() checkpoints to the cache (point_for saw the miss,
+        # so no probe), emits the per-task heartbeats, and applies the
+        # retry/timeout/crash-recovery machinery; workers=1 without
+        # faults or a timeout runs the engine right here in this thread.
         [point] = execute([task], workers=self.workers,
-                          cache=self.store, retry=self.retry)
+                          cache=self.store, retry=self.retry,
+                          probe=False)
         return point
 
     async def _drive_fused(self, tasks: "list[RunTask]",
@@ -194,15 +196,18 @@ class TaskBroker:
         """Run one fused kernel call, settling futures as lanes retire."""
         loop = asyncio.get_running_loop()
 
-        def on_result(task: RunTask, key: str, point: object) -> None:
-            # Called on the executor thread mid-wave (after the cache
-            # checkpoint); hop to the loop to touch the futures.
+        def on_result(task: RunTask, key: str, point: "SweepPoint"
+                      ) -> None:
+            # Executor thread, mid-wave.  run_fused saw every miss, so
+            # the kernel runs without the cache and the checkpoint is
+            # here, before the hop to the loop settles the future.
+            self.store.store(key, point, task.describe())
             loop.call_soon_threadsafe(self._settle, futures, key, point)
 
         try:
             async with self._semaphore:
                 results = await asyncio.to_thread(
-                    execute_fused, tasks, cache=self.store,
+                    execute_fused, tasks, cache=False,
                     width=self.fused_width, on_result=on_result)
         except BaseException as exc:
             for future in futures.values():

@@ -58,6 +58,7 @@ from repro.runner import (
     record_ledger,
 )
 from repro.runner.fused import DEFAULT_FUSED_WIDTH
+from repro.sim import backend
 
 from .protocol import (
     PROTOCOL_SCHEMA,
@@ -86,7 +87,7 @@ class ServiceServer:
 
     def __init__(self, cache_dir: "Path | str",
                  socket_path: "Path | str", *,
-                 fleet: int = 4,
+                 fleet: int = 1,
                  workers: int = 1,
                  retry: Optional[RetryPolicy] = None,
                  fused_width: int = DEFAULT_FUSED_WIDTH) -> None:
@@ -294,14 +295,20 @@ class ServiceServer:
 
         Returns the number of ``point`` events emitted.  With
         ``stop_after_saturation`` set the curve is cut after the Nth
-        saturated point, mirroring the one-shot sweep; without it the
-        whole grid resolves concurrently (bounded by the fleet), so a
-        wide campaign keeps every fleet slot busy.
+        saturated point, mirroring the one-shot sweep.
+
+        A campaign the batch kernel can run is one fused kernel call,
+        whatever backend the spec names (a tail past the cut runs
+        speculatively and is cached).  The rest runs task by task: the
+        whole grid concurrently (bounded by the fleet), or sequentially
+        with a cut so the tail is never requested.
         """
         stop = spec["stop_after_saturation"]
         pairs = list(zip(tasks, keys))
-        fused = (tasks and tasks[0].backend == "batch"
-                 and fused_eligible())
+        fused = (fused_eligible() and backend.numpy_available()
+                 and all(backend.batch_supported(t.config,
+                                                 t.size_distribution)
+                         for t in tasks))
         emitted = 0
         saturated_seen = 0
         waiters: "list[asyncio.Task]" = []

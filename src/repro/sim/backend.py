@@ -1,30 +1,29 @@
 """Simulation-backend selection: scalar, batch, or automatic.
 
-The harness ships two engines with contractually identical statistics:
-the scalar event engine (:mod:`repro.sim.engine`, always available)
-and the batch lane kernel (:mod:`repro.sim.batch`, requires numpy
-— the ``[batch]`` extra).  This module owns the *selection* logic so
-every entry point — :func:`~repro.analysis.sweeps.sweep`,
-:func:`~repro.analysis.replications.replicate_sweep`, the CLI —
-resolves a requested backend the same way:
+The harness ships two engines with byte-identical results: the scalar
+event engine (:mod:`repro.sim.engine`, always available) and the batch
+lane kernel (:mod:`repro.sim.batch`, requires numpy — the ``[batch]``
+extra).  A backend is a hint about *how* a point is computed, never
+part of *what* it is: :func:`~repro.runner.task.task_key` leaves it
+out, so both engines read and write the same cache entries.  This
+module owns the selection logic every entry point —
+:func:`~repro.analysis.sweeps.sweep`,
+:func:`~repro.analysis.replications.replicate_sweep`, the CLI — shares:
 
 * ``"scalar"`` — always honoured;
 * ``"batch"`` — honoured when numpy is importable; otherwise the run
   *degrades* to scalar with a :class:`BackendFallbackWarning` (a
-  minimal install must never crash on a flag, and the statistics are
+  minimal install must never crash on a flag, and the results are
   identical either way).  An unsupported *model* (exotic policy or
   placement) is not silently downgraded — that surfaces downstream as
   :class:`~repro.sim.batch.BatchBackendError`, because asking for the
   batch kernel on a model it cannot run is a caller bug, not an
   environment limitation;
-* ``"auto"`` — picks ``"batch"`` when numpy is importable, the model
-  is supported, and the campaign is at least :data:`AUTO_MIN_WIDTH`
-  lanes wide; else ``"scalar"``.
+* ``"auto"`` — ``"batch"`` when numpy is importable and the model is
+  supported, else ``"scalar"``.  The kernel runs one lane at a time,
+  so it is as fast per job for one run as for a wide grid.
 
-Resolution happens *before* any :class:`~repro.runner.task.RunTask` is
-built, so the resolved backend — never the literal ``"auto"`` — lands
-in the task key and cache entries from different engines can never
-mix.  This module imports no numpy; it is safe on minimal installs.
+This module imports no numpy; it is safe on minimal installs.
 """
 
 from __future__ import annotations
@@ -36,20 +35,11 @@ from typing import Optional
 from repro.core.system import SimulationConfig
 
 __all__ = [
-    "AUTO_MIN_WIDTH",
     "BackendFallbackWarning",
     "batch_supported",
     "numpy_available",
     "resolve_backend",
 ]
-
-#: Minimum campaign width (grid points × replications for a sweep,
-#: replications for a replication study) at which ``"auto"`` picks the
-#: batch kernel.  The kernel's speed does not depend on width (one lane
-#: runs at a time); the threshold stays only because the resolved
-#: backend is part of the task key, so changing it would re-key narrow
-#: campaigns.
-AUTO_MIN_WIDTH = 4
 
 #: The policy/placement surface the batch kernel implements
 #: (mirrors :class:`~repro.sim.batch.BatchLaneKernel`'s validation).
@@ -88,16 +78,11 @@ def batch_supported(config: SimulationConfig,
 def resolve_backend(backend: str,
                     config: Optional[SimulationConfig] = None,
                     *,
-                    width: int = 1,
                     size_distribution: Optional[object] = None) -> str:
     """Resolve a requested backend to ``"scalar"`` or ``"batch"``.
 
-    ``width`` is the campaign's lane count — how many independent runs
-    could share one lane kernel (grid points for a sweep, seeds
-    for a replication study).  ``config``/``size_distribution`` gate
-    the ``"auto"`` choice on model support; pass ``None`` to skip that
-    check.  Deterministic for a fixed environment, so a resumed
-    campaign re-derives the same task keys.
+    ``config``/``size_distribution`` gate the ``"auto"`` choice on
+    model support; pass ``None`` to skip that check.
     """
     if backend == "scalar":
         return "scalar"
@@ -112,7 +97,6 @@ def resolve_backend(backend: str,
         return "batch"
     if backend == "auto":
         if (numpy_available()
-                and width >= AUTO_MIN_WIDTH
                 and (config is None
                      or batch_supported(config, size_distribution))):
             return "batch"

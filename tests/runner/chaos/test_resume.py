@@ -57,6 +57,14 @@ def payload(result) -> str:
     return buf.getvalue()
 
 
+def group_is_empty(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
 def wait_for(predicate, timeout=60.0, interval=0.05) -> bool:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -95,6 +103,9 @@ class TestInterruptedSweepResumes:
                 "child never checkpointed its first grid point")
             child.send_signal(signal.SIGINT)
             child.wait(timeout=30)
+            # The interrupt took the child's pool workers with it.
+            assert wait_for(lambda: group_is_empty(child.pid), timeout=5), (
+                "a forked worker outlived the interrupted child")
         finally:
             with suppress(ProcessLookupError):
                 os.killpg(child.pid, signal.SIGKILL)

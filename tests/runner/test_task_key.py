@@ -60,3 +60,31 @@ class TestSensitivity:
         assert "LS" in text
         assert "seed=9" in text
         assert "0.45" in text
+
+
+class TestPinnedKeys:
+    """Literal keys: a scalar task's key must never move (every
+    existing cache entry is addressed by it), and the backend is a
+    hint that never reaches the key."""
+
+    PINNED = {
+        ("GS", 0.4): "f9573eba94e97c42006e31741de0e68d"
+                     "7e14011780f5dd80a27bb30cb2b2c7bf",
+        ("LS", 0.3): "50d1f6bff5fc4a6657b2f6b94e09ba81"
+                     "cd679c3858a04a86585f18095d91824c",
+        ("LP", 0.55): "64ba2abc78230558cd0d3caef4b7afb0"
+                      "c7a59ca6b0d1615474dddd5256a840fd",
+        ("SC", 0.5): "6f6ab5af4b5b9886175d9c9e7b25455f"
+                     "33ecb5be3b9ff229aec1445d8a5c8209",
+    }
+
+    def test_scalar_keys_are_pinned(self):
+        for (policy, rho), key in self.PINNED.items():
+            assert task_key(make_task(policy, rho=rho)) == key, policy
+
+    def test_backend_hint_never_reaches_the_key(self):
+        for (policy, rho), key in self.PINNED.items():
+            for backend in ("batch", "auto"):
+                task = RunTask(small_config(policy), SIZES, SERVICE, rho,
+                               backend=backend)
+                assert task_key(task) == key, (policy, backend)

@@ -5,9 +5,8 @@ every entry point (sweep, replicate_sweep, the CLI) funnels a
 ``backend=`` argument through, so these tests pin its whole contract:
 explicit choices are honoured, ``"batch"`` without numpy degrades to
 scalar with a warning instead of crashing, and ``"auto"`` picks the
-kernel only when numpy is present, the campaign is wide enough and
-the model is supported.  Resolution must happen before task keys are
-derived, so it must also be deterministic and never return "auto".
+kernel whenever numpy is present and the model is supported — however
+narrow the campaign, since the kernel runs one lane at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import pytest
 from repro.core.system import SimulationConfig
 from repro.sim import backend as backend_module
 from repro.sim.backend import (
-    AUTO_MIN_WIDTH,
     BackendFallbackWarning,
     batch_supported,
     numpy_available,
@@ -41,7 +39,7 @@ class TestExplicitChoices:
     def test_scalar_is_always_scalar(self):
         assert resolve_backend("scalar") == "scalar"
         assert resolve_backend("scalar", config_for(),
-                               width=1000) == "scalar"
+                               size_distribution=SIZES) == "scalar"
 
     def test_batch_with_numpy_stays_batch(self, monkeypatch):
         monkeypatch.setattr(backend_module, "numpy_available",
@@ -64,34 +62,26 @@ class TestAuto:
         monkeypatch.setattr(backend_module, "numpy_available",
                             lambda: True)
         assert resolve_backend("auto", config_for(),
-                               width=AUTO_MIN_WIDTH,
                                size_distribution=SIZES) == "batch"
 
-    def test_narrow_campaign_stays_scalar(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "numpy_available",
-                            lambda: True)
-        assert resolve_backend("auto", config_for(),
-                               width=AUTO_MIN_WIDTH - 1,
-                               size_distribution=SIZES) == "scalar"
 
     def test_auto_without_numpy_stays_scalar_silently(self, monkeypatch):
         monkeypatch.setattr(backend_module, "numpy_available",
                             lambda: False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_backend("auto", config_for(),
-                                   width=64) == "scalar"
+            assert resolve_backend("auto", config_for()) == "scalar"
 
     def test_unsupported_model_stays_scalar(self, monkeypatch):
         monkeypatch.setattr(backend_module, "numpy_available",
                             lambda: True)
         exotic = config_for(placement="first-fit")
-        assert resolve_backend("auto", exotic, width=64) == "scalar"
+        assert resolve_backend("auto", exotic) == "scalar"
 
     def test_no_config_skips_the_support_check(self, monkeypatch):
         monkeypatch.setattr(backend_module, "numpy_available",
                             lambda: True)
-        assert resolve_backend("auto", width=64) == "batch"
+        assert resolve_backend("auto") == "batch"
 
 
 class TestBatchSupported:

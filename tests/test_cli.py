@@ -82,19 +82,8 @@ class TestSweepBackendFlag:
         args = build_parser().parse_args(["sweep", "--backend", "auto"])
         assert args.backend == "auto"
 
-    def test_auto_on_a_narrow_grid_runs_scalar(self, capsys):
-        # One grid point is below AUTO_MIN_WIDTH, so auto must resolve
-        # to the scalar engine and behave exactly like the default.
-        rc = main([
-            "sweep", "--policy", "GS", "--grid", "0.3:0.3:0.1",
-            "--warmup", "100", "--measured", "400",
-            "--backend", "auto",
-        ])
-        assert rc == 0
-        assert "performance ranking" in capsys.readouterr().out
-
-    def test_auto_on_a_wide_grid_fuses_the_kernel(self, capsys,
-                                                  monkeypatch):
+    @staticmethod
+    def lanes_loaded_by_auto_sweep(grid, monkeypatch, capsys) -> int:
         pytest.importorskip("numpy")
         import repro.sim.batch as batch_module
 
@@ -108,12 +97,25 @@ class TestSweepBackendFlag:
         monkeypatch.setattr(batch_module.BatchLaneKernel, "load",
                             counting)
         rc = main([
-            "sweep", "--policy", "GS", "--grid", "0.3:0.6:0.1",
+            "sweep", "--policy", "GS", "--grid", grid,
             "--warmup", "100", "--measured", "400",
             "--backend", "auto", "--no-cache",
         ])
         assert rc == 0
-        assert calls["count"] > 0
+        assert "performance ranking" in capsys.readouterr().out
+        return calls["count"]
+
+    def test_auto_on_a_narrow_grid_fuses_the_kernel(self, capsys,
+                                                    monkeypatch):
+        # The kernel runs one lane at a time, so auto takes it for a
+        # one-point grid as for a wide one.
+        assert self.lanes_loaded_by_auto_sweep(
+            "0.3:0.3:0.1", monkeypatch, capsys) == 1
+
+    def test_auto_on_a_wide_grid_fuses_the_kernel(self, capsys,
+                                                  monkeypatch):
+        assert self.lanes_loaded_by_auto_sweep(
+            "0.3:0.6:0.1", monkeypatch, capsys) > 0
 
     def test_batch_without_numpy_degrades_cleanly(self, monkeypatch,
                                                   capsys):
