@@ -25,9 +25,9 @@ The runner contracts are preserved exactly:
 * **task order** — lanes retire in load order, which is task order
   within a kernel shape, so ``on_result`` streams fresh points in the
   order their tasks were given;
-* **bit-identical results** — lanes never interact, so a task's point
-  is independent of which tasks share its kernel call, of slot
-  assignment, and of refill order; the differential-oracle and
+* **bit-identical results** — lanes share only read-only draws, so a
+  task's point is independent of which tasks share its kernel call, of
+  slot assignment, and of refill order; the differential-oracle and
   golden-corpus suites pin this against the scalar engine, which is
   why a fused and a scalar point for one task share a cache key.
 
@@ -64,8 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 __all__ = ["DEFAULT_FUSED_WIDTH", "execute_fused", "fused_eligible"]
 
 #: Default kernel width (loaded lanes).  Speed does not depend on it —
-#: one lane runs at a time — but each loaded lane holds its first
-#: prefetch chunk of jobs, so extra width only adds memory.
+#: one lane runs at a time — except that co-loaded lanes of one seed
+#: share draws, so a wider kernel redraws a seed's workload less
+#: often.  Each loaded lane holds its first prefetch chunk of jobs.
 DEFAULT_FUSED_WIDTH = 32
 
 #: ``follow_up(task, key, point)`` → more tasks to enqueue (or None).
