@@ -51,26 +51,14 @@ import time
 from pathlib import Path
 from typing import Optional
 
-# The benchmark needs numpy, which ships under the [batch] extra.
-# Import failures are deferred to main() so a no-numpy environment
-# gets a clear skip (exit 0) instead of an ImportError — and so pytest
-# can collect this file (python_files includes bench_*.py) in minimal
-# environments.
-try:
-    from repro.analysis.points import SweepPoint
-    from repro.core.system import SimulationConfig, run_open_system
-    from repro.runner import RunTask, execute_fused, task_key
-    from repro.runner.worker import run_task_result
-    from repro.sim.batch import run_batch_points
-    from repro.sim.rng import StreamFactory
-    from repro.workload import WORKLOADS, das_t_900
-    from repro.workload.generator import JobFactory
-except ModuleNotFoundError as exc:
-    if (exc.name or "").partition(".")[0] != "numpy":
-        raise
-    _IMPORT_ERROR: Optional[ModuleNotFoundError] = exc
-else:
-    _IMPORT_ERROR = None
+from repro.analysis.points import SweepPoint
+from repro.core.system import SimulationConfig, run_open_system
+from repro.runner import RunTask, execute_fused, task_key
+from repro.runner.worker import run_task_result
+from repro.sim.batch import run_batch_points
+from repro.sim.rng import StreamFactory
+from repro.workload import WORKLOADS, das_t_900
+from repro.workload.generator import JobFactory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "repro.bench.batch/1"
@@ -298,12 +286,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="exit nonzero unless the speedup gates for "
                              "the current mode hold")
     args = parser.parse_args(argv)
-
-    if _IMPORT_ERROR is not None:
-        print("SKIPPED: numpy is not installed "
-              f"({_IMPORT_ERROR}); install the numeric stack with "
-              "`pip install repro[batch]` to run this benchmark")
-        return 0
 
     if args.quick:
         warmup, measured, width, rounds = 100, 500, 8, 2

@@ -6,7 +6,8 @@ JSONL event log, writes a manifest and feeds the metrics registry, yet
 the serialized sweep result must not change by a byte and the
 wall-clock cost must stay within 10% of an obs-off run.
 
-Both properties are asserted here on a real sweep.  Timing uses a
+Both properties are asserted here on a real scalar-engine sweep, the
+engine an obs-armed campaign runs.  Timing uses a
 paired design: obs-off and obs-on sweeps alternate round by round, so
 each ratio compares adjacent runs and survives host frequency shifts
 that wreck independently-taken minima.  Shared-host interference only
@@ -57,7 +58,12 @@ def _obs_env(enabled: bool, root):
 
 def _sweep(scale):
     config = scale.config("GS", 16, warmup_jobs=300, measured_jobs=1_500)
-    return sweep("GS", config, das_s_128(), das_t_900(), GRID)
+    # Pinned to the scalar engine on both sides: an obs-armed sweep
+    # always runs it (the fused kernel emits no event log yet), while
+    # the default backend would run the obs-off side on the kernel, so
+    # the ratio would measure the engine swap, not the obs layer.
+    return sweep("GS", config, das_s_128(), das_t_900(), GRID,
+                 backend="scalar")
 
 
 def _payload(result) -> str:

@@ -6,11 +6,12 @@ survives the run.  Simulation scale is selected with the
 ``REPRO_BENCH_SCALE`` environment variable (``quick`` default, ``full``
 for paper-grade lengths).
 
-The sweep-based benches fan independent runs out over worker processes
-when ``REPRO_WORKERS=N`` is set, and reuse completed runs from the
-on-disk result cache when ``REPRO_CACHE=1`` (see ``docs/parallel.md``);
-results are byte-identical at any worker count, so neither setting
-changes an exhibit.
+The sweep-based benches run each grid as one fused batch-kernel call
+(the sweep default), and reuse completed runs from the on-disk result
+cache when ``REPRO_CACHE=1``; ``REPRO_WORKERS=N`` fans out only the
+runs that still go through the process pool (see ``docs/parallel.md``).
+Results are byte-identical at any worker count and on either engine,
+so neither setting changes an exhibit.
 
 Run with::
 

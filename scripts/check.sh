@@ -87,29 +87,13 @@ else
     fi
 fi
 
-# The simulation layers (and therefore the test suite and strict
-# typing of src/repro/sim + src/repro/core) need numpy, which ships
-# under the [batch] extra.  Without it the gate still runs everything
-# numpy-free — simlint and ruff above — and skips the rest with a
-# notice instead of failing on an ImportError cascade.
-if python -c "import numpy" >/dev/null 2>&1; then
-    HAVE_NUMPY=1
-else
-    HAVE_NUMPY=0
-fi
-
-if [ "$HAVE_NUMPY" -eq 0 ]; then
-    notice "numpy not installed — skipping mypy and pytest" \
-           "(pip install -e '.[batch]' for the numeric stack)"
-elif command -v mypy >/dev/null 2>&1; then
+if command -v mypy >/dev/null 2>&1; then
     run_step "mypy --strict src/repro/sim src/repro/core" \
         mypy --strict src/repro/sim src/repro/core
 else
     notice "mypy not installed — skipping (pip install -e .[dev])"
 fi
 
-if [ "$HAVE_NUMPY" -eq 1 ]; then
-    run_step "pytest" python -m pytest -x -q
-fi
+run_step "pytest" python -m pytest -x -q
 
 notice "all checks passed"

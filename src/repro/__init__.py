@@ -37,55 +37,30 @@ Quickstart::
     print(result.mean_response, result.gross_utilization)
 """
 
-# The simulation layers need numpy (shipped under the [batch] extra);
-# simlint is pure-AST and must stay importable without it, so the
-# re-exports are gated rather than unconditional.  Any other
-# ImportError propagates — only a missing numpy is a supported
-# degraded mode.
-try:
-    from .core import (
-        GSPolicy,
-        Job,
-        JobQueue,
-        LPPolicy,
-        LSPolicy,
-        Multicluster,
-        MulticlusterSimulation,
-        OpenSystemResult,
-        Policy,
-        SCPolicy,
-        SimulationConfig,
-        run_constant_backlog,
-        run_open_system,
-    )
-    from .metrics import MetricsRecorder, UtilizationReport
-except ModuleNotFoundError as exc:  # pragma: no cover - no-numpy envs
-    if (exc.name or "").partition(".")[0] != "numpy":
-        raise
-    NUMPY_AVAILABLE = False
-else:
-    NUMPY_AVAILABLE = True
+from .core import (
+    GSPolicy,
+    Job,
+    JobQueue,
+    LPPolicy,
+    LSPolicy,
+    Multicluster,
+    MulticlusterSimulation,
+    OpenSystemResult,
+    Policy,
+    SCPolicy,
+    SimulationConfig,
+    run_constant_backlog,
+    run_open_system,
+)
+from .metrics import MetricsRecorder, UtilizationReport
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "__version__", "NUMPY_AVAILABLE",
+    "__version__",
     "SimulationConfig", "MulticlusterSimulation", "OpenSystemResult",
     "run_open_system", "run_constant_backlog",
     "Multicluster", "Job", "JobQueue",
     "Policy", "GSPolicy", "LSPolicy", "LPPolicy", "SCPolicy",
     "MetricsRecorder", "UtilizationReport",
 ]
-
-
-def __getattr__(name: str) -> "object":
-    """Explain the missing numeric stack instead of a bare NameError."""
-    if name in __all__ and not NUMPY_AVAILABLE:
-        raise ImportError(
-            f"repro.{name} needs numpy, which is not installed; "
-            "install the numeric stack with `pip install repro[batch]` "
-            "(simlint and the pure-AST tooling work without it)"
-        )
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

@@ -112,7 +112,7 @@ def replicate_sweep(label: str, config: SimulationConfig,
                     workers: Optional[int] = None,
                     cache: CacheSpec = None,
                     retry: Optional[RetryPolicy] = None,
-                    backend: str = "scalar"
+                    backend: str = "auto"
                     ) -> ReplicatedSweep:
     """Run ``replications`` sweeps with distinct seeds and aggregate.
 
@@ -132,9 +132,10 @@ def replicate_sweep(label: str, config: SimulationConfig,
     (:func:`~repro.runner.fused.execute_fused`): each seed advances
     through the grid as a lane chain, stopping at its own saturation
     point, while other seeds' lanes keep the kernel busy.  Exactly the
-    serial task set executes.  ``backend="auto"`` picks batch when
-    numpy is available and the model is supported
-    (:func:`~repro.sim.backend.resolve_backend`).  Per-seed points are
+    serial task set executes.  ``backend="auto"`` (the default) picks
+    batch when the kernel supports the model
+    (:func:`~repro.sim.backend.resolve_backend`); ``"scalar"`` runs
+    the scalar engine, the waves above.  Per-seed points are
     byte-identical to the scalar engine's, so both backends share one
     set of cache entries.
     """
@@ -142,8 +143,6 @@ def replicate_sweep(label: str, config: SimulationConfig,
         raise ValueError(
             f"replications must be >= 1, got {replications!r}"
         )
-    backend = resolve_backend(backend, config,
-                              size_distribution=size_distribution)
     base = config.seed if base_seed is None else base_seed
     seeds = tuple(base + 1_000 * i for i in range(replications))
     runs = _replicated_runs(label, config, seeds, size_distribution,
@@ -172,7 +171,7 @@ def _replicated_runs(label: str, config: SimulationConfig,
                      *, workers: Optional[int],
                      cache: CacheSpec,
                      retry: Optional[RetryPolicy] = None,
-                     backend: str = "scalar"
+                     backend: str = "auto"
                      ) -> list[SweepResult]:
     """One sweep per seed, advanced in parallel waves.
 
@@ -193,6 +192,8 @@ def _replicated_runs(label: str, config: SimulationConfig,
     study falls back to :func:`~repro.runner.pool.execute` waves with
     per-task batch workers — same results, task at a time.
     """
+    backend = resolve_backend(backend, config,
+                              size_distribution=size_distribution)
     configs = [replace(config, seed=seed) for seed in seeds]
     store = resolve_cache(cache)
     cache_arg: CacheSpec = store if store is not None else False

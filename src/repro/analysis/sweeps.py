@@ -124,12 +124,16 @@ class SweepResult:
 def sweep_tasks(config: SimulationConfig, size_distribution,
                 service_distribution,
                 utilizations: Sequence[float],
-                backend: str = "scalar") -> list[RunTask]:
+                backend: str = "auto") -> list[RunTask]:
     """The full planned task list of a sweep, in grid order.
 
     Shared by :func:`sweep` and the CLI's ``--resume`` reporting so
-    both derive the identical campaign identity.
+    both derive the identical campaign identity.  ``backend`` is
+    resolved (:func:`~repro.sim.backend.resolve_backend`), so every
+    task names a concrete engine.
     """
+    backend = resolve_backend(backend, config,
+                              size_distribution=size_distribution)
     return [
         RunTask(config, size_distribution, service_distribution, rho,
                 backend=backend)
@@ -145,7 +149,7 @@ def sweep(label: str, config: SimulationConfig, size_distribution,
           workers: Optional[int] = None,
           cache: CacheSpec = None,
           retry: Optional[RetryPolicy] = None,
-          backend: str = "scalar") -> SweepResult:
+          backend: str = "auto") -> SweepResult:
     """Run ``config`` across a utilization grid.
 
     Parameters
@@ -175,13 +179,16 @@ def sweep(label: str, config: SimulationConfig, size_distribution,
         curve — a re-executed task is the same pure function of the
         same inputs.
     backend:
-        Simulation engine: ``"scalar"`` (default), ``"batch"`` (the
-        batch lane kernel — byte-identical points under the same cache
-        keys), or ``"auto"`` (batch when numpy is available and the
-        model is supported; see
-        :func:`~repro.sim.backend.resolve_backend`).  The batch path
-        fuses the whole grid into one kernel call when neither fault
-        injection nor observability is armed; like the ``workers > 1``
+        Simulation engine: ``"auto"`` (default: the batch lane kernel
+        when it supports the model, else the scalar engine; see
+        :func:`~repro.sim.backend.resolve_backend`), ``"batch"``, or
+        ``"scalar"`` (the scalar engine, the oracle the differential
+        tests compare the kernel against).  Both engines give
+        byte-identical points under the same cache keys.  The batch
+        path fuses the whole grid into one in-process kernel call when
+        neither fault injection nor observability is armed, so
+        ``workers`` and ``retry`` apply only to the scalar engine or a
+        fault- or obs-armed campaign; like the ``workers > 1``
         chunking, it runs grid points past the early-stop threshold
         speculatively (they are cached but discarded from the curve),
         so the returned curve is byte-identical to a serial scalar

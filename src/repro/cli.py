@@ -32,9 +32,9 @@ Examples::
 
     repro-sim run --policy LS --limit 16 --utilization 0.5
     repro-sim sweep --policy GS --limit 24 --grid 0.2:0.8:0.1
-    repro-sim sweep --policy GS --workers 4 --cache --progress
-    repro-sim sweep --policy GS --workers 4 --cache --retries 2 --task-timeout 300
-    repro-sim sweep --policy GS --workers 4 --resume
+    repro-sim sweep --policy GS --cache --progress
+    repro-sim sweep --policy GS --backend scalar --workers 4 --retries 2 --task-timeout 300
+    repro-sim sweep --policy GS --resume
     repro-sim sweep --policy LS --obs --cache
     repro-sim experiment fig3 --workers 4 --cache
     repro-sim maxutil --policy GS --limit 16
@@ -160,15 +160,18 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--profile", action="store_true",
                          help="run under cProfile and print the "
                               "hottest functions afterwards")
-    sweep_p.add_argument("--backend", default="scalar",
+    sweep_p.add_argument("--backend", default="auto",
                          choices=["scalar", "batch", "auto"],
-                         help="simulation engine: the scalar event "
-                              "loop, the batch lane kernel "
-                              "(byte-identical points under the same "
-                              "cache keys; batch needs numpy — pip "
-                              "install repro[batch]), or auto to pick "
-                              "batch whenever numpy is available and "
-                              "the model is supported")
+                         help="simulation engine: auto (default) runs "
+                              "the batch lane kernel whenever it "
+                              "supports the model, else the scalar "
+                              "event loop; scalar and batch force one "
+                              "engine (the points are byte-identical "
+                              "under the same cache keys).  The kernel "
+                              "runs in-process, so --workers, "
+                              "--retries and --task-timeout reach only "
+                              "scalar runs and --obs or fault-armed "
+                              "campaigns")
     sweep_p.add_argument("--replications", type=int, default=1,
                          metavar="N",
                          help="independent replications per grid "

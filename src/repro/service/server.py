@@ -305,7 +305,7 @@ class ServiceServer:
         """
         stop = spec["stop_after_saturation"]
         pairs = list(zip(tasks, keys))
-        fused = (fused_eligible() and backend.numpy_available()
+        fused = (fused_eligible()
                  and all(backend.batch_supported(t.config,
                                                  t.size_distribution)
                          for t in tasks))

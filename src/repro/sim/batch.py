@@ -43,12 +43,13 @@ exactly.  That holds because
   is not the scalar reduction order);
 * events are ordered by ``(time, sequence-number)`` with the same
   sequence-number bookkeeping as :meth:`repro.sim.engine.Simulator.defer`;
-* placement is the scalar :func:`~repro.core.placement.worst_fit`
-  itself, memoized per (lane profile, size, free counts), and every
-  queue decision — the FCFS drain, the LS/LP visiting rounds, the
-  disable and re-enable order, LP's local priority — is the shared
-  :mod:`repro.core.rounds` code the scalar policies run, over per-lane
-  deques and visit/disabled lists;
+* placement is the scalar rule itself, looked up in
+  :data:`~repro.core.placement.PLACEMENT_RULES` and memoized per
+  (lane profile, size, free counts), and every queue decision — the
+  FCFS drain, the LS/LP visiting rounds, the disable and re-enable
+  order, LP's local priority — is the shared :mod:`repro.core.rounds`
+  code the scalar policies run, over per-lane deques and
+  visit/disabled lists;
 * the metric accumulators apply the exact float-operation order of
   :class:`~repro.sim.stats.TimeWeighted`, Welford's update and the
   batch-means CI on Python floats, the same IEEE doubles the scalar
@@ -71,8 +72,9 @@ no-op placement retries are elided — behavioural identity is defined
 on the returned statistics, which the differential oracle suite pins.
 
 Supported model surface: the four paper policies (GS/LS/LP/SC) under
-``placement="worst-fit"``; anything else raises
-:class:`BatchBackendError` so callers fall back to the scalar engine.
+every rule in :data:`~repro.core.placement.PLACEMENT_RULES`, with a
+discrete size distribution; anything else raises
+:class:`BatchBackendError`.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ __all__ = [
 
 _INF = float("inf")
 
-#: Default bound on the shared worst-fit memo (entries).  Placement is
+#: Default bound on the shared placement memo (entries).  Placement is
 #: a pure function of its key, so the cap trades recomputation for
 #: memory and never changes results; a campaign's working set is far
 #: smaller, so evictions are rare outside adversarial workloads.
@@ -372,10 +374,9 @@ class BatchLaneKernel:
             raise BatchBackendError(
                 f"batch backend supports GS/LS/LP/SC, got {config.policy!r}"
             )
-        if config.placement != "worst-fit":
+        if config.placement not in PLACEMENT_RULES:
             raise BatchBackendError(
-                "batch backend supports placement='worst-fit' only, got "
-                f"{config.placement!r}"
+                f"unknown placement rule {config.placement!r}"
             )
         if width < 1:
             raise BatchBackendError(f"kernel width must be >= 1, got {width}")
@@ -384,6 +385,7 @@ class BatchLaneKernel:
                 f"place_cache_cap must be >= 1, got {place_cache_cap}"
             )
         self.policy = policy
+        self.placement = config.placement
         self.size_distribution = size_distribution
         self.service_distribution = service_distribution
 
@@ -417,7 +419,7 @@ class BatchLaneKernel:
         self._single = policy in ("GS", "SC")
         self._lp = policy == "LP"
         self._nq = (1 if self._single else self.n_clusters + self._lp)
-        self._worst_fit = PLACEMENT_RULES["worst-fit"]
+        self._place = PLACEMENT_RULES[config.placement]
         self._place_cache: dict[
             tuple[int, ...],
             Optional[tuple[tuple[int, int], ...]]] = {}
@@ -508,9 +510,9 @@ class BatchLaneKernel:
             raise BatchBackendError(
                 f"kernel runs policy {self.policy}, got {config.policy!r}"
             )
-        if config.placement != "worst-fit":
+        if config.placement != self.placement:
             raise BatchBackendError(
-                "batch backend supports placement='worst-fit' only, got "
+                f"kernel runs placement {self.placement!r}, got "
                 f"{config.placement!r}"
             )
         if tuple(int(cap) for cap in config.capacities) != self.capacities:
@@ -639,7 +641,7 @@ class BatchLaneKernel:
     def _remember(self, key: tuple[int, ...],
                   result: Optional[tuple[tuple[int, int], ...]]
                   ) -> Optional[tuple[tuple[int, int], ...]]:
-        """Store one Worst Fit outcome in the bounded placement memo.
+        """Store one placement outcome in the bounded placement memo.
 
         Placement is a pure function of (profile, total size, free
         counts), so outcomes are memoized; the memo also elides
@@ -664,10 +666,10 @@ class BatchLaneKernel:
     def _starter(self, lane: _Lane) -> TryStart:
         """The lane's ``try_start`` for :mod:`repro.core.rounds`.
 
-        GS/SC heads and multi-component LS/LP heads take Worst Fit:
-        the memo keyed by (lane profile, total size, free counts),
-        and on a miss the scalar :func:`~repro.core.placement.worst_fit`
-        (see :meth:`_remember`).  A single-component LS/LP head fits
+        GS/SC heads and multi-component LS/LP heads take the kernel's
+        placement rule: the memo keyed by (lane profile, total size,
+        free counts), and on a miss the scalar rule itself (see
+        :meth:`_remember`).  A single-component LS/LP head fits
         only on its own cluster (LS: the queue id; LP: the queue id -
         1, since LP's global queue, id 0, holds only multi-component
         jobs).  A fit starts the job at ``lane.now``: it takes the
@@ -681,7 +683,7 @@ class BatchLaneKernel:
         pid = lane.prof.pid
         comp_lists = lane.prof.comp_lists
         cache = self._place_cache
-        worst_fit = self._worst_fit
+        place = self._place
         remember = self._remember
         anywhere = self._single
         base = int(self._lp)
@@ -693,7 +695,7 @@ class BatchLaneKernel:
                 key = (pid, size, *free)
                 alloc = cache.get(key, _MISS)
                 if alloc is _MISS:
-                    alloc = remember(key, worst_fit(comp_lists[size], free))
+                    alloc = remember(key, place(comp_lists[size], free))
                 if alloc is None:
                     return False
             elif free[qid - base] >= size:

@@ -155,8 +155,8 @@ class TestBackendCacheIsolation:
         cache = ResultCache(tmp_path / "cache")
         grid = (0.3, 0.4)
         scalar_run = sweep("GS", config, SIZES, SERVICE, grid,
-                           workers=1, cache=cache)
-        assert engine_calls["count"] == len(grid)
+                           workers=1, cache=cache, backend="scalar")
+        assert engine_calls["scalar"] == len(grid)
         assert batch_calls["count"] == 0
         hits = cache.hits
 

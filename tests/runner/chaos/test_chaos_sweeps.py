@@ -7,6 +7,10 @@ wall-clock events only, because a re-executed task is the same pure
 function of the same task contents.  Schedules the runner must *not*
 survive (budget exhausted, attempts exhausted) fail with the typed
 error naming the task.
+
+Every sweep here pins ``backend="scalar"``: the subject is the process
+pool's fault handling, which the default (a fusable grid runs in the
+in-process batch kernel) would reach only through the armed fault plan.
 """
 
 from __future__ import annotations
@@ -63,11 +67,13 @@ class TestCrashRecovery:
     def test_byte_identical_and_counted(self, policy, fault_plan):
         config = small_config(policy)
         keys = grid_keys(config)
-        baseline = sweep(policy, config, SIZES, SERVICE, GRID, workers=2)
+        baseline = sweep(policy, config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=2)
 
         REGISTRY.reset()
         plan_fault(fault_plan, Fault(key=keys[0], kind="crash"))
-        survived = sweep(policy, config, SIZES, SERVICE, GRID, workers=2,
+        survived = sweep(policy, config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=2,
                          retry=RetryPolicy(max_attempts=2, **FAST))
 
         assert payload(survived) == payload(baseline)
@@ -82,13 +88,15 @@ class TestTransientStorm:
     def test_every_task_flaky_twice_serial(self, fault_plan):
         config = small_config("GS")
         keys = grid_keys(config)
-        baseline = sweep("GS", config, SIZES, SERVICE, GRID, workers=1)
+        baseline = sweep("GS", config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=1)
 
         REGISTRY.reset()
         for key in keys:
             plan_fault(fault_plan, Fault(key=key, kind="transient", seq=0))
             plan_fault(fault_plan, Fault(key=key, kind="transient", seq=1))
-        survived = sweep("GS", config, SIZES, SERVICE, GRID, workers=1,
+        survived = sweep("GS", config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=1,
                          retry=RetryPolicy(max_attempts=3, **FAST))
 
         assert payload(survived) == payload(baseline)
@@ -98,7 +106,8 @@ class TestTransientStorm:
     def test_mixed_crash_and_transient(self, fault_plan):
         config = small_config("LS")
         keys = grid_keys(config)
-        baseline = sweep("LS", config, SIZES, SERVICE, GRID, workers=2)
+        baseline = sweep("LS", config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=2)
 
         REGISTRY.reset()
         plan_fault(fault_plan, Fault(key=keys[0], kind="crash"))
@@ -115,7 +124,7 @@ class TestTransientStorm:
         progress.subscribe(probe)
         try:
             survived = sweep("LS", config, SIZES, SERVICE, GRID,
-                             workers=2,
+                             backend="scalar", workers=2,
                              retry=RetryPolicy(max_attempts=3, **FAST))
         finally:
             progress.unsubscribe(probe)
@@ -148,12 +157,14 @@ class TestHangTimeout:
     def test_hung_worker_is_replaced(self, fault_plan):
         config = small_config("GS")
         keys = grid_keys(config)
-        baseline = sweep("GS", config, SIZES, SERVICE, GRID, workers=2)
+        baseline = sweep("GS", config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=2)
 
         REGISTRY.reset()
         plan_fault(fault_plan,
                    Fault(key=keys[0], kind="hang", hang_seconds=60.0))
-        survived = sweep("GS", config, SIZES, SERVICE, GRID, workers=2,
+        survived = sweep("GS", config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=2,
                          retry=RetryPolicy(max_attempts=2, timeout=5.0,
                                            **FAST))
 
@@ -175,12 +186,14 @@ class TestSerialWorkerFaults:
     def test_hang_times_out_at_one_worker(self, fault_plan):
         config = small_config("GS")
         keys = grid_keys(config)
-        baseline = sweep("GS", config, SIZES, SERVICE, GRID, workers=1)
+        baseline = sweep("GS", config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=1)
 
         REGISTRY.reset()
         plan_fault(fault_plan,
                    Fault(key=keys[0], kind="hang", hang_seconds=60.0))
-        survived = sweep("GS", config, SIZES, SERVICE, GRID, workers=1,
+        survived = sweep("GS", config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=1,
                          retry=RetryPolicy(max_attempts=2, timeout=5.0,
                                            **FAST))
 
@@ -192,13 +205,15 @@ class TestSerialWorkerFaults:
     def test_crash_kills_a_worker_not_this_process(self, fault_plan):
         config = small_config("LS")
         keys = grid_keys(config)
-        baseline = sweep("LS", config, SIZES, SERVICE, GRID, workers=1)
+        baseline = sweep("LS", config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=1)
 
         REGISTRY.reset()
         plan_fault(fault_plan, Fault(key=keys[0], kind="crash"))
         # Surviving at all proves the crash ran in a worker: in-process
         # dispatch would os._exit the test runner here.
-        survived = sweep("LS", config, SIZES, SERVICE, GRID, workers=1,
+        survived = sweep("LS", config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=1,
                          retry=RetryPolicy(max_attempts=2, **FAST))
 
         assert payload(survived) == payload(baseline)
@@ -221,7 +236,8 @@ class TestCampaignWideBudget:
         # budget=1 grants the first grid point's retry; the second grid
         # point — a later chunk — must find the budget already spent.
         with pytest.raises(TaskFailedError, match="budget exhausted"):
-            sweep("GS", config, SIZES, SERVICE, GRID, workers=1,
+            sweep("GS", config, SIZES, SERVICE, GRID,
+                  backend="scalar", workers=1,
                   retry=RetryPolicy(max_attempts=3, retry_budget=1,
                                     **FAST))
         assert REGISTRY.counter("runner.retries").value == 1
@@ -229,12 +245,14 @@ class TestCampaignWideBudget:
     def test_sufficient_budget_survives_byte_identical(self, fault_plan):
         config = small_config("GS")
         keys = grid_keys(config)
-        baseline = sweep("GS", config, SIZES, SERVICE, GRID, workers=1)
+        baseline = sweep("GS", config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=1)
 
         REGISTRY.reset()
         for key in keys:
             plan_fault(fault_plan, Fault(key=key, kind="transient"))
-        survived = sweep("GS", config, SIZES, SERVICE, GRID, workers=1,
+        survived = sweep("GS", config, SIZES, SERVICE, GRID,
+                         backend="scalar", workers=1,
                          retry=RetryPolicy(max_attempts=3,
                                            retry_budget=len(keys),
                                            **FAST))
@@ -249,13 +267,13 @@ class TestPoisonedCache:
         keys = grid_keys(config)
         cache = ResultCache(tmp_path / "cache")
         cold = sweep("LP", config, SIZES, SERVICE, GRID,
-                     workers=1, cache=cache)
+                     backend="scalar", workers=1, cache=cache)
         poison_cache_entry(cache, keys[0])
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             warm = sweep("LP", config, SIZES, SERVICE, GRID,
-                         workers=1, cache=cache)
+                         backend="scalar", workers=1, cache=cache)
 
         assert payload(warm) == payload(cold)
         assert any(issubclass(w.category, CacheIntegrityWarning)
@@ -264,7 +282,7 @@ class TestPoisonedCache:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             healed = sweep("LP", config, SIZES, SERVICE, GRID,
-                           workers=1, cache=cache)
+                           backend="scalar", workers=1, cache=cache)
         assert payload(healed) == payload(cold)
         assert not any(issubclass(w.category, CacheIntegrityWarning)
                        for w in caught)
@@ -278,7 +296,8 @@ class TestUnsurvivableSchedules:
             plan_fault(fault_plan,
                        Fault(key=keys[0], kind="transient", seq=seq))
         with pytest.raises(TaskFailedError, match="after 2 attempts"):
-            sweep("GS", config, SIZES, SERVICE, GRID, workers=1,
+            sweep("GS", config, SIZES, SERVICE, GRID,
+                  backend="scalar", workers=1,
                   retry=RetryPolicy(max_attempts=2, **FAST))
 
     def test_retry_budget_exhausted(self, fault_plan):
@@ -288,7 +307,8 @@ class TestUnsurvivableSchedules:
             plan_fault(fault_plan,
                        Fault(key=keys[0], kind="transient", seq=seq))
         with pytest.raises(TaskFailedError):
-            sweep("GS", config, SIZES, SERVICE, GRID, workers=1,
+            sweep("GS", config, SIZES, SERVICE, GRID,
+                  backend="scalar", workers=1,
                   retry=RetryPolicy(max_attempts=5, retry_budget=1,
                                     **FAST))
         # Exactly one retry was granted before the budget ran dry.

@@ -47,7 +47,7 @@ CHILD = textwrap.dedent("""
     from conftest import SERVICE, SIZES, small_config  # tests/runner
 
     sweep("GS", small_config("GS"), SIZES, SERVICE, {grid!r},
-          workers=1, cache=ResultCache({cache_dir!r}))
+          workers=1, cache=ResultCache({cache_dir!r}), backend="scalar")
 """)
 
 
@@ -128,15 +128,15 @@ class TestInterruptedSweepResumes:
         # lost points (the engine counter is in-process, workers=1).
         monkeypatch.delenv(FAULTS_ENV, raising=False)
         resumed = sweep("GS", config, SIZES, SERVICE, GRID,
-                        workers=1, cache=cache)
-        assert engine_calls["count"] == len(keys) - 1
+                        workers=1, cache=cache, backend="scalar")
+        assert engine_calls["scalar"] == len(keys) - 1
 
         manifest = load_campaign(cache, campaign_key("sweep", "GS", keys))
         assert manifest.status == "complete"
 
         # Byte-identical to a never-interrupted run.
         baseline = sweep("GS", config, SIZES, SERVICE, GRID, workers=1,
-                         cache=False)
+                         cache=False, backend="scalar")
         assert payload(resumed) == payload(baseline)
 
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: tiny configs and an engine-invocation counter."""
+"""Shared fixtures: tiny configs and engine-invocation counters."""
 
 from __future__ import annotations
 
@@ -41,20 +41,16 @@ def batch_calls(monkeypatch):
 
 
 @pytest.fixture
-def engine_calls(monkeypatch):
-    """Count engine invocations (in-process runs only, ``workers=1``).
+def engine_calls():
+    """Count the points actually computed in-process: scalar engine
+    runs (``workers=1``) plus kernel lane loads, under ``count``, with
+    the two parts under ``scalar`` and ``lanes``.
 
-    Wraps :func:`repro.runner.worker.run_open_system`; a cache-warm run
-    must leave the counter untouched.
+    A cache-warm run must leave every count untouched.
     """
-    import repro.runner.worker as worker_module
+    # Imported here: the resume test's child imports this module by
+    # path, outside the ``tests`` package.
+    from ..counting import count_engine_calls
 
-    calls = {"count": 0}
-    real = worker_module.run_open_system
-
-    def counting(*args, **kwargs):
-        calls["count"] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(worker_module, "run_open_system", counting)
-    return calls
+    with count_engine_calls() as calls:
+        yield calls

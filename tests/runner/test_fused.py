@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import pytest
 
-pytest.importorskip("numpy")
-
-from repro.runner import (  # noqa: E402
+from repro.runner import (
     ResultCache,
     RunTask,
     execute_fused,
     fused_eligible,
     task_key,
 )
-from repro.runner.faults import FAULTS_ENV  # noqa: E402
-from repro.runner.worker import run_task  # noqa: E402
-from repro.sim.batch import BatchBackendError  # noqa: E402
+from repro.runner.faults import FAULTS_ENV
+from repro.runner.worker import run_task
+from repro.sim.batch import BatchBackendError
+from repro.sim.distributions import Uniform
 
-from .conftest import SERVICE, SIZES, small_config  # noqa: E402
+from .conftest import SERVICE, SIZES, small_config
 
 
 def tasks_for(policy="GS", rhos=(0.4, 0.55, 0.7), **config_kw):
@@ -64,8 +63,9 @@ class TestResultsAndKeys:
             execute_fused(tasks_for(), cache=False, width=0)
 
     def test_unsupported_model_raises_instead_of_degrading(self):
-        config = small_config("GS", placement="first-fit")
-        task = RunTask(config, SIZES, SERVICE, 0.5, backend="batch")
+        # A continuous size distribution has no integer support.
+        task = RunTask(small_config("GS"), Uniform(1.0, 64.0), SERVICE,
+                       0.5, backend="batch")
         with pytest.raises(BatchBackendError):
             execute_fused([task], cache=False)
 

@@ -4,29 +4,28 @@ A task's key leaves its backend out, so a point the fused lane kernel
 cached is served to scalar campaigns and the other way round.  That
 is only sound if both engines produce the same bytes for the same
 task.  The golden fixtures pin a fixed set of cells; this draws
-policy × component limit × offered load × seed (small runs; seeds
-from a pair, so lanes often share draws) and compares
+policy × placement rule × component limit × offered load × seed
+(small runs; seeds from a pair, so lanes often share draws) and
+compares
 :func:`~repro.runner.fused.execute_fused` with the scalar
 :func:`~repro.runner.worker.run_task_result` under one key.
 """
 
 from __future__ import annotations
 
-import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-pytest.importorskip("numpy")
+from repro.analysis.points import SweepPoint, point_to_dict
+from repro.core.placement import PLACEMENT_RULES
+from repro.runner import RunTask, execute_fused, task_key
+from repro.runner.worker import run_task_result
 
-from hypothesis import HealthCheck, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from repro.analysis.points import SweepPoint, point_to_dict  # noqa: E402
-from repro.runner import RunTask, execute_fused, task_key  # noqa: E402
-from repro.runner.worker import run_task_result  # noqa: E402
-
-from .conftest import SERVICE, SIZES, small_config  # noqa: E402
+from .conftest import SERVICE, SIZES, small_config
 
 cells = st.tuples(
     st.sampled_from(("GS", "LS", "LP", "SC")),
+    st.sampled_from(sorted(PLACEMENT_RULES)),
     st.sampled_from((8, 16, 24)),
     st.sampled_from((0.3, 0.45, 0.6, 0.75)),
     # Two seeds, so drawn cells often share one and their lanes read
@@ -41,10 +40,11 @@ cells = st.tuples(
           suppress_health_check=[HealthCheck.too_slow])
 def test_fused_points_equal_scalar_points_under_one_key(drawn):
     tasks = []
-    for policy, limit, rho, seed in drawn:
+    for policy, placement, limit, rho, seed in drawn:
         kw = {} if policy == "SC" else {"component_limit": limit}
-        config = small_config(policy, seed=seed, warmup_jobs=50,
-                              measured_jobs=200, batch_size=50, **kw)
+        config = small_config(policy, placement=placement, seed=seed,
+                              warmup_jobs=50, measured_jobs=200,
+                              batch_size=50, **kw)
         tasks.append(RunTask(config, SIZES, SERVICE, rho,
                              backend="batch"))
     keys = [task_key(task) for task in tasks]

@@ -5,6 +5,8 @@ wall-clock optimisations: for every policy the *serialized* payload of
 a sweep (and of a replicated sweep) must be byte-identical between
 ``workers=1`` and ``workers=4`` under the same master seed, and a
 cache-warm second run must reproduce it without invoking the engine.
+A fusable sweep runs in-process by default, so the ``workers`` tests
+pin ``backend="scalar"`` to keep exercising the process pool.
 """
 
 from __future__ import annotations
@@ -42,16 +44,20 @@ def replicated_payload(result) -> str:
 class TestSweepEquivalence:
     def test_workers4_byte_identical_to_serial(self, policy):
         config = small_config(policy)
-        serial = sweep(policy, config, SIZES, SERVICE, GRID, workers=1)
-        parallel = sweep(policy, config, SIZES, SERVICE, GRID, workers=4)
+        serial = sweep(policy, config, SIZES, SERVICE, GRID, workers=1,
+                       backend="scalar")
+        parallel = sweep(policy, config, SIZES, SERVICE, GRID, workers=4,
+                         backend="scalar")
         assert sweep_payload(parallel) == sweep_payload(serial)
 
     def test_replicated_workers4_byte_identical_to_serial(self, policy):
         config = small_config(policy)
         serial = replicate_sweep(policy, config, SIZES, SERVICE, GRID,
-                                 replications=3, workers=1)
+                                 replications=3, workers=1,
+                                 backend="scalar")
         parallel = replicate_sweep(policy, config, SIZES, SERVICE, GRID,
-                                   replications=3, workers=4)
+                                   replications=3, workers=4,
+                                   backend="scalar")
         assert replicated_payload(parallel) == replicated_payload(serial)
 
 
@@ -93,11 +99,11 @@ class TestCacheWarmRuns:
         config = small_config("LS")
         cache = ResultCache(tmp_path / "cache")
         cold = sweep("LS", config, SIZES, SERVICE, GRID,
-                     workers=1, cache=cache)
+                     workers=1, cache=cache, backend="scalar")
         cold_runs = engine_calls["count"]
 
         warm = sweep("LS", config, SIZES, SERVICE, GRID,
-                     workers=4, cache=cache)
+                     workers=4, cache=cache, backend="scalar")
         assert engine_calls["count"] == cold_runs
         assert sweep_payload(warm) == sweep_payload(cold)
 
@@ -119,8 +125,10 @@ class TestEarlyStopPreserved:
         # truncate to exactly the serial curve.
         config = small_config("LP")
         grid = (0.3, 0.45, 0.6, 0.75, 0.9, 0.95)
-        serial = sweep("LP", config, SIZES, SERVICE, grid, workers=1)
-        parallel = sweep("LP", config, SIZES, SERVICE, grid, workers=4)
+        serial = sweep("LP", config, SIZES, SERVICE, grid, workers=1,
+                       backend="scalar")
+        parallel = sweep("LP", config, SIZES, SERVICE, grid, workers=4,
+                         backend="scalar")
         assert sweep_payload(parallel) == sweep_payload(serial)
         assert len(serial.points) <= len(grid)
         if serial.points[-1].saturated:

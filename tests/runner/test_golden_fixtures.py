@@ -5,7 +5,10 @@ each co-allocation policy for the small reference configuration (seed
 7, component limit 16, grid 0.35/0.55), generated once with
 ``save_sweep`` and committed.  A fresh run must reproduce each file
 **byte for byte** — across interpreter sessions, machines, worker
-counts and any amount of fault-tolerance machinery in between.
+counts, both engines and any amount of fault-tolerance machinery in
+between.  The serial and parallel runs pin ``backend="scalar"`` (the
+default fuses the grid into the in-process batch kernel, which never
+reaches the process pool); the default run pins the kernel.
 
 A diff here means the simulation's numerical behaviour changed: either
 an intended model change (regenerate the fixtures in the same commit
@@ -43,12 +46,17 @@ class TestGoldenSweeps:
     def test_serial_run_matches_committed_fixture(self, policy):
         golden = (GOLDEN_DIR / f"sweep_{policy}.json").read_text(
             encoding="utf-8")
-        assert fresh_payload(policy, workers=1) == golden
+        assert fresh_payload(policy, workers=1, backend="scalar") == golden
 
     def test_parallel_run_matches_committed_fixture(self, policy):
         golden = (GOLDEN_DIR / f"sweep_{policy}.json").read_text(
             encoding="utf-8")
-        assert fresh_payload(policy, workers=2) == golden
+        assert fresh_payload(policy, workers=2, backend="scalar") == golden
+
+    def test_default_run_matches_committed_fixture(self, policy):
+        golden = (GOLDEN_DIR / f"sweep_{policy}.json").read_text(
+            encoding="utf-8")
+        assert fresh_payload(policy) == golden
 
 
 def test_fixtures_differ_across_policies():

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,8 @@ import pytest
 from repro.core import SimulationConfig
 from repro.service import ServiceClient, serve_in_thread
 from repro.workload import das_s_128, das_t_900
+
+from ..counting import count_engine_calls
 
 SIZES = das_s_128()
 SERVICE = das_t_900()
@@ -30,42 +31,6 @@ def small_config(policy="GS", **kw) -> SimulationConfig:
         base.update(capacities=(128,), component_limit=None)
     base.update(kw)
     return SimulationConfig(**base)
-
-
-@contextmanager
-def count_engine_calls():
-    """Count engine invocations: in-process scalar runs plus batch
-    kernel lane loads (one per point the kernel simulates).
-
-    ``count`` is their sum, ``scalar`` and ``lanes`` the two parts.
-    The broker fuses every fusable campaign, so a point may come from
-    either engine; single-flight means each unique key reaches exactly
-    one of them once.  Non-fixture form, usable inside hypothesis
-    examples."""
-    import repro.runner.worker as worker_module
-    import repro.sim.batch as batch_module
-
-    calls = {"count": 0, "scalar": 0, "lanes": 0}
-    real_run = worker_module.run_open_system
-    real_load = batch_module.BatchLaneKernel.load
-
-    def counting_run(*args, **kwargs):
-        calls["count"] += 1
-        calls["scalar"] += 1
-        return real_run(*args, **kwargs)
-
-    def counting_load(self, *args, **kwargs):
-        calls["count"] += 1
-        calls["lanes"] += 1
-        return real_load(self, *args, **kwargs)
-
-    worker_module.run_open_system = counting_run
-    batch_module.BatchLaneKernel.load = counting_load
-    try:
-        yield calls
-    finally:
-        worker_module.run_open_system = real_run
-        batch_module.BatchLaneKernel.load = real_load
 
 
 @pytest.fixture

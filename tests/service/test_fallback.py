@@ -1,10 +1,10 @@
 """Which campaigns the broker fuses, and the ones it cannot.
 
 The backend a spec names is only a hint: the broker runs every
-campaign the batch kernel can run as one fused kernel call, and keeps
-the task-at-a-time path for the four cases that cannot fuse — an armed
-fault plan, observability, non-worst-fit placement and a missing
-numpy.  Each fallback must still stream exactly the one-shot curve.
+campaign the batch kernel can run as one fused kernel call — under
+every placement rule — and keeps the task-at-a-time path for the two
+environments that cannot fuse: an armed fault plan and observability.
+Each path must stream exactly the one-shot scalar curve.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ GRID = (0.3, 0.4, 0.5)
 
 def one_shot(config) -> "list[dict]":
     result = sweep(config.policy, config, SIZES, SERVICE, GRID,
-                   cache=False)
+                   cache=False, backend="scalar")
     return [point_to_dict(p) for p in result.points]
 
 
@@ -50,14 +50,8 @@ def observability(monkeypatch, tmp_path):
     monkeypatch.setenv(OBS_DIR_ENV, str(tmp_path / "obs"))
 
 
-def no_numpy(monkeypatch, tmp_path):
-    import repro.sim.backend as backend_module
-
-    monkeypatch.setattr(backend_module, "numpy_available", lambda: False)
-
-
-@pytest.mark.parametrize("arm", [fault_plan, observability, no_numpy],
-                         ids=["fault-plan", "obs", "no-numpy"])
+@pytest.mark.parametrize("arm", [fault_plan, observability],
+                         ids=["fault-plan", "obs"])
 def test_unfusable_environment_runs_task_by_task(service, client,
                                                  monkeypatch, tmp_path,
                                                  arm):
@@ -71,11 +65,12 @@ def test_unfusable_environment_runs_task_by_task(service, client,
     assert result.raw_points == expected
 
 
-def test_first_fit_placement_runs_task_by_task(service, client,
-                                               engine_calls):
+def test_first_fit_placement_fuses_into_one_kernel_call(service, client,
+                                                        engine_calls):
     config = small_config("GS", placement="first-fit")
     result = client.run(sweep_spec("GS", config, GRID, backend="auto"))
-    assert service.broker.counters["fused.calls"] == 0
-    assert engine_calls["scalar"] == len(GRID)
-    assert engine_calls["lanes"] == 0
+    assert result.statuses == ["computed"] * len(GRID)
+    assert service.broker.counters["fused.calls"] == 1
+    assert engine_calls["scalar"] == 0
+    assert engine_calls["lanes"] == len(GRID)
     assert result.raw_points == one_shot(config)

@@ -174,8 +174,6 @@ class TestSingleFlight:
     @pytest.mark.parametrize("backend", ["scalar", "batch"])
     def test_two_clients_golden_grids(self, service, engine_calls,
                                       backend):
-        if backend == "batch":
-            pytest.importorskip("numpy")
         client_a = ServiceClient(service.socket_path)
         client_b = ServiceClient(service.socket_path)
         unique_cells = 0

@@ -14,12 +14,10 @@ import weakref
 
 import pytest
 
-pytest.importorskip("numpy")
-
-from repro.core.system import SimulationConfig  # noqa: E402
-from repro.runner import RunTask, execute_fused, task_key  # noqa: E402
-from repro.sim.batch import BatchLaneKernel  # noqa: E402
-from repro.workload.distributions import das_s_128, das_t_900  # noqa: E402
+from repro.core.system import SimulationConfig
+from repro.runner import RunTask, execute_fused, task_key
+from repro.sim.batch import BatchLaneKernel
+from repro.workload.distributions import das_s_128, das_t_900
 
 SIZES = das_s_128()
 SERVICE = das_t_900()

@@ -23,22 +23,20 @@ import dataclasses
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.analysis.points import SweepPoint  # noqa: E402
-from repro.core.system import SimulationConfig, run_open_system  # noqa: E402
-from repro.obs.registry import REGISTRY  # noqa: E402
-from repro.runner.task import RunTask  # noqa: E402
-from repro.sim.batch import (  # noqa: E402
+from repro.analysis.points import SweepPoint
+from repro.core.system import SimulationConfig, run_open_system
+from repro.obs.registry import REGISTRY
+from repro.runner.task import RunTask
+from repro.sim.batch import (
     PLACE_CACHE_CAP,
     BatchBackendError,
     BatchLaneKernel,
     run_batch_task,
 )
-from repro.sim.rng import StreamFactory  # noqa: E402
-from repro.workload import stats_model  # noqa: E402
-from repro.workload.distributions import das_s_128, das_t_900  # noqa: E402
-from repro.workload.generator import JobFactory  # noqa: E402
+from repro.sim.rng import StreamFactory
+from repro.workload import stats_model
+from repro.workload.distributions import das_s_128, das_t_900
+from repro.workload.generator import JobFactory
 
 SIZES = das_s_128()
 SERVICE = das_t_900()

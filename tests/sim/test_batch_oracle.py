@@ -6,7 +6,7 @@ must match the scalar engine bit for bit — same RNG draw sequence,
 same event order, same float reduction order.  These tests enforce the
 contract across the configuration space the paper exercises: all four
 policies, component limits 16/24/32, balanced and unbalanced routing,
-batch widths 1/2/7/32, and ragged termination (replications finishing
+every placement rule, batch widths 1/2/7/32, and ragged termination (replications finishing
 after different event counts).
 
 Any failure here is a real divergence, never tolerance noise: there is
@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.points import SweepPoint
+from repro.core.placement import PLACEMENT_RULES
 from repro.core.system import SimulationConfig, run_open_system
 from repro.sim.batch import BatchBackendError, run_batch_points
 from repro.sim.rng import StreamFactory
@@ -249,8 +250,29 @@ def test_unknown_policy_is_rejected():
         run_batch_points(config, SIZES, SERVICE, 0.5, [1])
 
 
-def test_non_worst_fit_placement_is_rejected():
-    config = SimulationConfig(policy="GS", placement="first-fit",
+@pytest.mark.parametrize("policy", ["GS", "LS", "LP", "SC"])
+@pytest.mark.parametrize("placement", sorted(PLACEMENT_RULES))
+def test_every_placement_rule_matches_scalar(placement, policy):
+    config = dataclasses.replace(make_config(policy, 16, BALANCED),
+                                 placement=placement)
+    assert_identical(config, 0.75, [7, 1007])
+
+
+def test_placement_rules_give_different_points():
+    # Guards the test above: the rules must move the points, or a
+    # kernel that ignored its placement rule would pass it.
+    base = make_config("GS", 16, BALANCED)
+    points = {
+        rule: scalar_points(dataclasses.replace(base, placement=rule),
+                            0.75, [7, 1007])
+        for rule in PLACEMENT_RULES
+    }
+    assert points["first-fit"] != points["worst-fit"]
+    assert points["best-fit"] != points["worst-fit"]
+
+
+def test_unknown_placement_is_rejected():
+    config = SimulationConfig(policy="GS", placement="random-fit",
                               warmup_jobs=10, measured_jobs=10)
     with pytest.raises(BatchBackendError):
         run_batch_points(config, SIZES, SERVICE, 0.5, [1])

@@ -14,12 +14,10 @@ from itertools import accumulate
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.core.system import SimulationConfig  # noqa: E402
-from repro.sim.rng import StreamFactory  # noqa: E402
-from repro.workload.distributions import das_s_128, das_t_900  # noqa: E402
-from repro.workload.generator import DEFAULT_DRAW_BATCH, JobFactory  # noqa: E402
+from repro.core.system import SimulationConfig
+from repro.sim.rng import StreamFactory
+from repro.workload.distributions import das_s_128, das_t_900
+from repro.workload.generator import DEFAULT_DRAW_BATCH, JobFactory
 
 SEEDS = (0, 1, 3, 7, 2**31 + 5)
 

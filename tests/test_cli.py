@@ -84,7 +84,6 @@ class TestSweepBackendFlag:
 
     @staticmethod
     def lanes_loaded_by_auto_sweep(grid, monkeypatch, capsys) -> int:
-        pytest.importorskip("numpy")
         import repro.sim.batch as batch_module
 
         calls = {"count": 0}
@@ -116,21 +115,6 @@ class TestSweepBackendFlag:
                                                   monkeypatch):
         assert self.lanes_loaded_by_auto_sweep(
             "0.3:0.6:0.1", monkeypatch, capsys) > 0
-
-    def test_batch_without_numpy_degrades_cleanly(self, monkeypatch,
-                                                  capsys):
-        import repro.sim.backend as backend_module
-
-        monkeypatch.setattr(backend_module, "numpy_available",
-                            lambda: False)
-        with pytest.warns(backend_module.BackendFallbackWarning):
-            rc = main([
-                "sweep", "--policy", "GS", "--grid", "0.3:0.3:0.1",
-                "--warmup", "100", "--measured", "400",
-                "--backend", "batch",
-            ])
-        assert rc == 0
-        assert "performance ranking" in capsys.readouterr().out
 
 
 class TestMaxUtilCommand:
