@@ -13,7 +13,7 @@ JSON archive and the runner's result cache.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,9 +45,13 @@ class SweepPoint:
         )
 
 
+#: Field names in declaration order: the dict codec's key order.
+_FIELDS = tuple(f.name for f in fields(SweepPoint))
+
+
 def point_to_dict(point: SweepPoint) -> dict[str, Any]:
     """The JSON-ready dict form of a point (flat, scalars only)."""
-    return asdict(point)
+    return {name: getattr(point, name) for name in _FIELDS}
 
 
 def point_from_dict(payload: Mapping[str, Any]) -> SweepPoint:
@@ -57,4 +61,4 @@ def point_from_dict(payload: Mapping[str, Any]) -> SweepPoint:
     non-mapping input, so callers (the result cache) can treat any
     malformed payload as corrupt and recompute.
     """
-    return SweepPoint(**{f.name: payload[f.name] for f in fields(SweepPoint)})
+    return SweepPoint(**{name: payload[name] for name in _FIELDS})

@@ -27,6 +27,13 @@ records campaign provenance for audits.
 Like everything under :mod:`repro.obs`, manifests are side-band:
 derived from the plan, never fed back into task keys or payloads.
 Deleting ``sweeps/`` changes nothing about any result.
+
+Campaign state is written only when it changes.  Re-running a complete,
+fully cached campaign (a warm service resubmission, a repeated
+``sweep``) rewrites neither its ledger nor its manifest; a campaign
+with anything left to run still goes ``"running"`` then ``"complete"``.
+The files are small, so the sweep service reads and writes them on its
+event loop.
 """
 
 from __future__ import annotations
@@ -176,7 +183,24 @@ def record_ledger(store: ResultCache, campaign: str,
         "campaign": campaign,
         "submission": submission,
     }
-    atomic_write_json(path, payload)
+    if not _holds(path, payload):
+        atomic_write_json(path, payload)
+
+
+def _holds(path: Path, payload: dict) -> bool:
+    """Whether ``path`` already holds the JSON ``payload`` would write.
+
+    Both sides are compared through the unindented encoder, which is
+    far cheaper than the indented writer (tuples and lists encode
+    alike).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            held = json.load(fh)
+    except (OSError, ValueError):
+        return False
+    return (json.dumps(held, sort_keys=True)
+            == json.dumps(payload, sort_keys=True))
 
 
 def load_ledger(store: ResultCache, campaign: str) -> Optional[dict]:
@@ -232,6 +256,12 @@ def begin_campaign(kind: str, label: str, tasks: Sequence[RunTask],
     ``keys`` are the tasks' :func:`~repro.runner.task.task_key` values
     when the caller already derived them; omitted, they are derived
     here.
+
+    Returns the manifest as it stands on disk.  A prior manifest that
+    is complete, plans the same tasks and has every key cached is left
+    as it is and returned: nothing is left to run, so the campaign
+    never goes back to ``"running"``, and :func:`finish_campaign`
+    writes only if the point count changes.
     """
     if store is None:
         return None
@@ -250,8 +280,13 @@ def begin_campaign(kind: str, label: str, tasks: Sequence[RunTask],
         REGISTRY.counter("runner.resume.campaigns").inc()
         REGISTRY.gauge("runner.resume.completed").set(done)
         REGISTRY.gauge("runner.resume.remaining").set(total - done)
-    atomic_write_json(sweep_manifest_path(store.root, manifest.campaign),
-                      manifest.to_dict())
+        if (done == total and prior.status == "complete"
+                and replace(prior, status="running",
+                            completed_points=None) == manifest):
+            manifest = prior  # nothing left to run: keep the file
+    if manifest is not prior:
+        atomic_write_json(sweep_manifest_path(store.root, manifest.campaign),
+                          manifest.to_dict())
     # Heartbeat for span recorders / dashboards: the campaign span
     # opens here and closes at finish_campaign.  Side-band only — no
     # subscriber means no work.
@@ -268,12 +303,15 @@ def finish_campaign(manifest: Optional[SweepManifest],
     ``points`` records how many curve points the campaign produced —
     for early-stopping sweeps this is legitimately smaller than the
     planned task count (the saturated tail is never simulated).
+    ``manifest`` is what :func:`begin_campaign` returned, so when it
+    already reads complete with ``points`` the file is left untouched.
     """
     if manifest is None or store is None:
         return manifest
     done = replace(manifest, status="complete", completed_points=points)
-    atomic_write_json(sweep_manifest_path(store.root, done.campaign),
-                      done.to_dict())
+    if done != manifest:
+        atomic_write_json(sweep_manifest_path(store.root, done.campaign),
+                          done.to_dict())
     _progress.notify("campaign-finish", done.campaign,
                      f"{done.kind} {done.label} ({points} points)")
     return done

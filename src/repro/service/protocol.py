@@ -33,12 +33,12 @@ campaign and reattachment can never mix state across campaigns.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from typing import Iterator, Optional, Sequence
 
 from repro.core.system import SimulationConfig
 from repro.obs.events import EVENT_SCHEMA, SERVICE_EVENT_SCHEMAS
 from repro.runner import RunTask, campaign_key, task_keys
+from repro.runner.task import config_to_dict
 from repro.workload import WORKLOADS, das_t_900
 
 __all__ = [
@@ -76,11 +76,6 @@ _BACKENDS = ("scalar", "batch", "auto")
 
 class ProtocolError(ValueError):
     """A request, spec or stream line violated the wire protocol."""
-
-
-def config_to_dict(config: SimulationConfig) -> dict:
-    """JSON-ready dict form of a configuration."""
-    return asdict(config)
 
 
 def config_from_dict(payload: dict) -> SimulationConfig:
@@ -152,14 +147,13 @@ def normalize_spec(spec: object) -> dict:
         if not isinstance(rho, (int, float)) or isinstance(rho, bool):
             raise ProtocolError(f"cell {i} needs a numeric "
                                 f"'offered_gross'")
-        config = config_from_dict(cell.get("config"))
-        identity = json.dumps(
-            {"config": config_to_dict(config), "offered_gross": rho},
-            sort_keys=True, separators=(",", ":"))
+        config = config_to_dict(config_from_dict(cell.get("config")))
+        identity = json.dumps({"config": config, "offered_gross": rho},
+                              sort_keys=True, separators=(",", ":"))
         if identity in seen:
             raise ProtocolError(f"cell {i} duplicates an earlier cell")
         seen.add(identity)
-        canonical_cells.append({"config": config_to_dict(config),
+        canonical_cells.append({"config": config,
                                 "offered_gross": float(rho)})
     return {
         "schema": SPEC_SCHEMA,

@@ -32,8 +32,10 @@ children, never the server, absorb the crash).
 
 Concurrency is bounded by a fleet semaphore counting concurrent engine
 invocations (a fused kernel call is one invocation, however many lanes
-it packs).  All bookkeeping lives on the server's event loop; only the
-engine work itself runs in threads.
+it packs).  All bookkeeping lives on the server's event loop, file I/O
+included: the cache probe here and the server's campaign-state reads
+and writes, which happen only when the state changes.  Only the engine
+work itself runs in threads.
 """
 
 from __future__ import annotations

@@ -23,11 +23,19 @@ Persistence is the cache directory, not server memory:
   one-shot ``--resume`` contract with the re-run replaced by a client
   reconnection.
 
+Campaign state (ledger and manifest) is read and written on the event
+loop, like the broker's cache probe: the files are small, and they are
+written only when they change (see :mod:`repro.runner.campaign`), so a
+warm resubmission of a complete campaign writes nothing and makes no
+thread hop.
+
 Heartbeats from the runner (hit/start/retry/attempt-failed/finish/
 fail) are fanned in through one process-wide
 :class:`~repro.obs.progress.HeartbeatRouter` and routed to each
 connection by its campaign's task keys, so concurrent clients only see
 their own campaign's execution, whichever fleet thread emits it.
+Every heartbeat the router has delivered by the time the last point
+is written goes out before ``campaign-finish``.
 
 :func:`serve_in_thread` hosts a server inside the current process for
 tests and benchmarks.
@@ -36,6 +44,7 @@ tests and benchmarks.
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import itertools
 import signal
@@ -49,7 +58,6 @@ from repro.runner import (
     ResultCache,
     RetryPolicy,
     RunTask,
-    SweepManifest,
     begin_campaign,
     finish_campaign,
     fused_eligible,
@@ -204,8 +212,7 @@ class ServiceServer:
         if not isinstance(prefix, str) or not prefix:
             raise ProtocolError("attach needs a non-empty string "
                                 "'campaign' key prefix")
-        matches = await asyncio.to_thread(match_campaigns, self.store,
-                                          prefix)
+        matches = match_campaigns(self.store, prefix)
         if not matches:
             raise ProtocolError(
                 f"unknown campaign {prefix!r}: no ledger under "
@@ -214,8 +221,7 @@ class ServiceServer:
             raise ProtocolError(
                 f"ambiguous campaign prefix {prefix!r} "
                 f"({len(matches)} matches); use more characters")
-        submission = await asyncio.to_thread(load_ledger, self.store,
-                                             matches[0])
+        submission = load_ledger(self.store, matches[0])
         if submission is None:
             raise ProtocolError(
                 f"campaign {matches[0]} has a malformed ledger")
@@ -230,27 +236,45 @@ class ServiceServer:
         seq = itertools.count()
         lock = asyncio.Lock()
 
+        # Lines are written under the lock, where stream_event draws
+        # ``t``, so sequence numbers always match line order on the
+        # wire.
+        def write(kind: str, **payload: object) -> None:
+            writer.write(encode_line(stream_event(seq, kind, **payload)))
+
         async def emit(kind: str, **payload: object) -> None:
-            # stream_event draws ``t`` under the lock, so sequence
-            # numbers always match line order on the wire.
             async with lock:
-                line = encode_line(stream_event(seq, kind, **payload))
-                writer.write(line)
+                write(kind, **payload)
                 await writer.drain()
 
-        beats: "asyncio.Queue[tuple[str, str, str]]" = asyncio.Queue()
+        # The router calls on_beat on whichever thread emits, the
+        # loop's included (a cache hit).  The beat is queued at once,
+        # so everything delivered so far is in ``beats`` whether or
+        # not the pump has woken since.
+        beats: "collections.deque[tuple[str, str, str]]" = \
+            collections.deque()
+        wake = asyncio.Event()
 
         def on_beat(kind: str, key: str, description: str) -> None:
-            # Fleet threads emit heartbeats; hop onto the loop.
-            loop.call_soon_threadsafe(beats.put_nowait,
-                                      (kind, key, description))
+            if kind in _FORWARDED_PHASES:
+                beats.append((kind, key, description))
+                loop.call_soon_threadsafe(wake.set)
+
+        async def forward() -> None:
+            # Beats leave the queue only under the lock, so cancelling
+            # the pump never drops one.
+            async with lock:
+                while beats:
+                    kind, key, description = beats.popleft()
+                    write("heartbeat", phase=kind, key=key,
+                          description=description)
+                await writer.drain()
 
         async def pump() -> None:
             while True:
-                kind, key, description = await beats.get()
-                if kind in _FORWARDED_PHASES:
-                    await emit("heartbeat", phase=kind, key=key,
-                               description=description)
+                await wake.wait()
+                wake.clear()
+                await forward()
 
         async with lock:
             writer.write(encode_line(stream_header(campaign)))
@@ -258,14 +282,20 @@ class ServiceServer:
         token = self.router.watch(set(keys), on_beat)
         pump_task = asyncio.create_task(pump())
         try:
-            manifest = await asyncio.to_thread(
-                self._open_campaign, spec, campaign, tasks, keys)
+            record_ledger(self.store, campaign, spec)
+            manifest = begin_campaign(spec["kind"], spec["label"], tasks,
+                                      self.store, keys)
             await emit("campaign-begin", campaign=campaign,
                        campaign_kind=spec["kind"], label=spec["label"],
                        planned=len(keys))
             emitted = await self._stream_points(spec, tasks, keys, emit)
-            await asyncio.to_thread(finish_campaign, manifest,
-                                    self.store, emitted)
+            finish_campaign(manifest, self.store, emitted)
+            # Forward every heartbeat delivered so far (a warm
+            # campaign's hits have had no yield to go out at) ahead of
+            # the end of the stream; the cancelled pump writes nothing
+            # more.
+            pump_task.cancel()
+            await forward()
             await emit("campaign-finish", campaign=campaign,
                        points=emitted)
             self.campaigns_served += 1
@@ -280,13 +310,6 @@ class ServiceServer:
             pump_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await pump_task
-
-    def _open_campaign(self, spec: dict, campaign: str,
-                       tasks: "list[RunTask]",
-                       keys: "list[str]") -> Optional[SweepManifest]:
-        record_ledger(self.store, campaign, spec)
-        return begin_campaign(spec["kind"], spec["label"], tasks,
-                              self.store, keys)
 
     async def _stream_points(self, spec: dict,
                              tasks: "Sequence[RunTask]",

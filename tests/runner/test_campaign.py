@@ -7,6 +7,7 @@ import json
 import pytest
 
 import repro.runner.campaign as campaign_module
+from repro.analysis.sweeps import sweep
 from repro.obs.registry import REGISTRY
 from repro.runner import (
     ResultCache,
@@ -14,10 +15,13 @@ from repro.runner import (
     SweepManifest,
     begin_campaign,
     campaign_key,
+    campaign_ledger_path,
     campaign_progress,
     execute,
     finish_campaign,
     load_campaign,
+    load_ledger,
+    record_ledger,
     sweep_manifest_path,
     task_keys,
 )
@@ -166,3 +170,132 @@ class TestManifestOnDiskShape:
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["schema"] == "repro.runner/sweep-manifest/1"
         assert list(payload) == sorted(payload)
+
+
+def file_states(root):
+    """``{path: (mtime_ns, inode)}`` of every file under ``root``."""
+    return {path: (path.stat().st_mtime_ns, path.stat().st_ino)
+            for path in root.rglob("*") if path.is_file()}
+
+
+def run_campaign(store, tasks, points=None):
+    """One begin/execute/finish cycle; returns the finished manifest."""
+    manifest = begin_campaign("sweep", "GS", tasks, store)
+    execute(tasks, workers=1, cache=store)
+    return finish_campaign(manifest, store,
+                           points=len(tasks) if points is None else points)
+
+
+class TestWriteRule:
+    """Campaign state is written only when it changes."""
+
+    def test_complete_cached_rerun_leaves_every_file(self, tmp_path,
+                                                     fresh_registry):
+        store = ResultCache(tmp_path / "cache")
+        tasks = make_tasks(n=2)
+        done = run_campaign(store, tasks)
+        before = file_states(store.root)
+
+        again = run_campaign(store, tasks)
+
+        assert again == done
+        assert file_states(store.root) == before
+        assert REGISTRY.counter("runner.resume.campaigns").value == 1
+        assert REGISTRY.gauge("runner.resume.remaining").value == 0
+
+    def test_begin_returns_the_complete_manifest_it_kept(self, tmp_path):
+        store = ResultCache(tmp_path / "cache")
+        tasks = make_tasks(n=2)
+        done = run_campaign(store, tasks)
+        assert begin_campaign("sweep", "GS", tasks, store) == done
+
+    def test_new_point_count_rewrites_the_manifest(self, tmp_path):
+        store = ResultCache(tmp_path / "cache")
+        tasks = make_tasks(n=2)
+        run_campaign(store, tasks, points=2)
+        path = sweep_manifest_path(
+            store.root, campaign_key("sweep", "GS", task_keys(tasks)))
+        before = file_states(store.root)[path]
+
+        cut = run_campaign(store, tasks, points=1)
+
+        assert cut.completed_points == 1
+        assert load_campaign(store, cut.campaign) == cut
+        assert file_states(store.root)[path] != before
+
+    def test_missing_cell_goes_running_then_complete(self, tmp_path):
+        store = ResultCache(tmp_path / "cache")
+        tasks = make_tasks(n=2)
+        run_campaign(store, tasks)
+        keys = task_keys(tasks)
+        store.path_for(keys[1]).unlink()
+
+        manifest = begin_campaign("sweep", "GS", tasks, store)
+        assert manifest.status == "running"
+        assert load_campaign(store, manifest.campaign) == manifest
+        execute(tasks, workers=1, cache=store)
+        done = finish_campaign(manifest, store, points=2)
+        assert load_campaign(store, manifest.campaign) == done
+        assert done.status == "complete"
+
+    def test_prior_running_manifest_goes_running_then_complete(
+            self, tmp_path):
+        store = ResultCache(tmp_path / "cache")
+        tasks = make_tasks(n=2)
+        begin_campaign("sweep", "GS", tasks, store)
+        execute(tasks, workers=1, cache=store)
+        path = sweep_manifest_path(
+            store.root, campaign_key("sweep", "GS", task_keys(tasks)))
+        before = file_states(store.root)[path]
+
+        manifest = begin_campaign("sweep", "GS", tasks, store)
+        assert manifest.status == "running"
+        assert file_states(store.root)[path] != before
+        done = finish_campaign(manifest, store, points=2)
+        assert load_campaign(store, manifest.campaign) == done
+
+    def test_sweep_rerun_leaves_campaign_state(self, tmp_path):
+        store = ResultCache(tmp_path / "cache")
+        config = small_config("GS", measured_jobs=200)
+        first = sweep("GS", config, SIZES, SERVICE, (0.3, 0.4),
+                      cache=store)
+        before = file_states(store.root)
+        second = sweep("GS", config, SIZES, SERVICE, (0.3, 0.4),
+                       cache=store)
+        assert second.points == first.points
+        assert file_states(store.root) == before
+
+
+class TestLedgerWriteRule:
+    SUBMISSION = {"label": "GS", "stop_after_saturation": None,
+                  "cells": [{"config": {"capacities": (32, 32)},
+                             "offered_gross": 0.3}]}
+
+    def test_same_submission_leaves_the_file(self, tmp_path):
+        store = ResultCache(tmp_path / "cache")
+        record_ledger(store, "ab" * 32, self.SUBMISSION)
+        path = campaign_ledger_path(store.root, "ab" * 32)
+        before = file_states(store.root)[path]
+
+        record_ledger(store, "ab" * 32, dict(self.SUBMISSION))
+
+        assert file_states(store.root)[path] == before
+
+    def test_changed_stop_after_saturation_rewrites(self, tmp_path):
+        store = ResultCache(tmp_path / "cache")
+        record_ledger(store, "ab" * 32, self.SUBMISSION)
+        changed = dict(self.SUBMISSION, stop_after_saturation=2)
+
+        record_ledger(store, "ab" * 32, changed)
+
+        assert load_ledger(store, "ab" * 32)["stop_after_saturation"] == 2
+
+    def test_malformed_ledger_is_rewritten(self, tmp_path):
+        store = ResultCache(tmp_path / "cache")
+        path = campaign_ledger_path(store.root, "ab" * 32)
+        path.parent.mkdir(parents=True)
+        path.write_text("{ torn", encoding="utf-8")
+
+        record_ledger(store, "ab" * 32, self.SUBMISSION)
+
+        assert load_ledger(store, "ab" * 32)["label"] == "GS"
