@@ -66,7 +66,7 @@ __all__ = ["DEFAULT_FUSED_WIDTH", "execute_fused", "fused_eligible"]
 #: Default kernel width (loaded lanes).  Speed does not depend on it —
 #: one lane runs at a time — except that co-loaded lanes of one seed
 #: share draws, so a wider kernel redraws a seed's workload less
-#: often.  Each loaded lane holds its first prefetch chunk of jobs.
+#: often.  Each loaded lane holds its first chunk of jobs.
 DEFAULT_FUSED_WIDTH = 32
 
 #: ``follow_up(task, key, point)`` → more tasks to enqueue (or None).

@@ -6,8 +6,8 @@ holds N such runs ("lanes") in one :class:`BatchLaneKernel`.  Each
 lane's whole state — its queues, free processors, running-job
 calendar, queue ring, metric accumulators and run control — is one
 :class:`_Lane` record of plain Python floats, ints and containers.
-numpy only draws the workload, in prefetch-sized chunks drawn once per
-seed and shared by that seed's loaded lanes (:class:`_SeedDraws`).
+numpy only draws the workload, in chunks drawn once per seed and
+shared by that seed's loaded lanes (:class:`_SeedDraws`).
 :meth:`BatchLaneKernel.step` takes the earliest-loaded lane and runs
 its event loop until the lane retires.
 
@@ -17,7 +17,8 @@ factor and routing weights.  Only the policy, the placement rule, the
 cluster capacities and the two workload distributions are fixed per
 kernel (policy state containers differ by policy; capacities size the
 free-processor lists).  Per-lane workload tables (component splits,
-extension factors, routing CDF) are shared through interned
+extension factors, routing CDF) are those of a
+:class:`~repro.workload.generator.JobFactory`, shared through interned
 :class:`_LaneProfile` objects keyed by the lane parameters that shape
 them.
 
@@ -35,12 +36,15 @@ lane, the six :class:`~repro.analysis.points.SweepPoint` statistics
 CI half width, saturation flag) must equal the scalar run's output
 exactly.  That holds because
 
-* every random stream is consumed in the scalar order — block draws
-  only for ``block_equivalent`` distributions (mirroring
-  :class:`~repro.workload.generator.JobFactory`'s prefetch), scalar
-  ``sample`` calls otherwise, and arrival times accumulated by
-  *sequential* float addition (``np.cumsum`` may pairwise-sum, which
-  is not the scalar reduction order);
+* the job stream is the scalar engine's own: a lane's sizes, service
+  times and routing uniforms are the chunks of a
+  :class:`~repro.workload.generator.JobDraws` record, and its
+  components, extensions and queue indices come from the tables of its
+  profile's :class:`~repro.workload.generator.JobFactory`; only the
+  arrival times are the kernel's, standard exponentials scaled by the
+  lane's mean and accumulated by *sequential* float addition
+  (``np.cumsum`` may pairwise-sum, which is not the scalar reduction
+  order), pinned by ``tests/sim/test_draw_identities.py``;
 * events are ordered by ``(time, sequence-number)`` with the same
   sequence-number bookkeeping as :meth:`repro.sim.engine.Simulator.defer`;
 * placement is the scalar rule itself, looked up in
@@ -84,7 +88,7 @@ from collections import deque
 from dataclasses import replace
 from heapq import heappop, heappush
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -99,17 +103,10 @@ from repro.core.rounds import (
 )
 from repro.core.system import SimulationConfig
 from repro.obs.registry import REGISTRY
-from repro.sim.distributions import (
-    Distribution,
-    Lognormal,
-    Mixture,
-    TruncatedLognormal,
-    Uniform,
-)
+from repro.sim.distributions import Distribution
 from repro.sim.rng import StreamFactory
 from repro.sim.stats import student_t_quantile
-from repro.workload.generator import DEFAULT_DRAW_BATCH, JobFactory
-from repro.workload.splitting import split_size
+from repro.workload.generator import DEFAULT_DRAW_BATCH, JobDraws, JobFactory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.analysis.points import SweepPoint
@@ -142,7 +139,9 @@ _HeapItem = tuple[float, int, float, int, float,
 #: Cache-miss sentinel (``None`` is a valid cached "does not fit").
 _MISS = object()
 
-#: One prefetch block of a seed's raw draws (see :class:`_SeedDraws`).
+#: One chunk of a seed's raw draws: a job chunk of
+#: :meth:`~repro.workload.generator.JobDraws.draw` plus as many standard
+#: exponentials (see :class:`_SeedDraws`).
 _Chunk = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -155,141 +154,57 @@ class _SeedDraws:
 
     Common random numbers: every lane of one seed consumes the four
     named substreams a scalar :func:`~repro.core.system.run_open_system`
-    consumes, and a chunk of raw draws — integer sizes, service times,
-    routing uniforms and *standard* exponentials — is a pure function
-    of (seed, chunk index, the kernel's two distributions).  So the
-    kernel draws each chunk once per seed into ``chunks`` and every
-    loaded lane of that seed reads it through its own cursor, deriving
-    its queue ids, gross/net service and arrival times itself.
-    ``lanes`` counts the loaded lanes holding the record; the kernel
-    drops it when the last of them retires, so a later lane of the
-    seed redraws from a fresh generator and sees the same values.
+    consumes.  The job draws are a
+    :class:`~repro.workload.generator.JobDraws` record — the one the
+    scalar :class:`~repro.workload.generator.JobFactory` reads — and
+    the arrival draws are *standard* exponentials, one per job, so a
+    chunk is a pure function of (seed, chunk index, the kernel's two
+    distributions).  The kernel draws each chunk once per seed into
+    ``chunks`` and every loaded lane of that seed reads it through its
+    own cursor, deriving its queue ids, gross/net service and arrival
+    times itself.  ``lanes`` counts the loaded lanes holding the
+    record; the kernel drops it when the last of them retires, so a
+    later lane of the seed redraws from a fresh generator and sees the
+    same values.
     """
 
-    __slots__ = ("seed", "sizes", "services", "routing", "iat", "chunks",
-                 "lanes")
+    __slots__ = ("seed", "jobs", "iat", "chunks", "lanes")
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, size_distribution: Distribution,
+                 service_distribution: Distribution) -> None:
         streams = StreamFactory(seed)
         self.seed = seed
-        self.sizes = streams.get("workload.sizes")
-        self.services = streams.get("workload.services")
-        self.routing = streams.get("workload.routing")
+        self.jobs = JobDraws(size_distribution, service_distribution,
+                             streams)
         self.iat = streams.get("arrivals.iat")
         #: ``(sizes, services, routing uniforms, standard
-        #: exponentials)`` per prefetch block.
+        #: exponentials)`` per chunk.
         self.chunks: list[_Chunk] = []
         self.lanes = 0
 
 
 class _LaneProfile:
-    """Workload tables shared by every lane with the same shape.
+    """The job-shaping tables shared by every lane with the same shape.
 
-    The component-split tables, extension factors and routing CDF are
-    pure functions of (component limit, extension factor, routing
-    weights) over the kernel's fixed size support and cluster count;
-    lanes differing only in seed, rate or run-length targets intern to
-    the same profile.  ``pid`` keys the shared placement memo (the
-    split tables differ per profile, so memo entries must not cross
-    profiles); ``factory`` performs the rate <-> offered-utilization
-    conversions with the exact scalar float math.
+    Component splits, extension factors and the routing CDF are those
+    of ``factory``, a :class:`~repro.workload.generator.JobFactory`
+    over the lane's (component limit, extension factor, routing
+    weights); lanes differing only in seed, rate or run-length targets
+    intern to the same profile.  The factory never draws: it also
+    performs the rate <-> offered-utilization conversions with the
+    exact scalar float math.  ``pid`` keys the shared placement memo
+    (component splits differ per profile, so memo entries must not
+    cross profiles).
     """
 
-    __slots__ = ("pid", "ncomp_tab", "ext_tab", "comp_lists", "route_cdf",
-                 "factory")
+    __slots__ = ("pid", "factory")
 
-    def __init__(self, pid: int, ncomp_tab: "np.ndarray",
-                 ext_tab: "np.ndarray",
-                 comp_lists: list[tuple[int, ...]],
-                 route_cdf: "np.ndarray", factory: JobFactory) -> None:
+    def __init__(self, pid: int, factory: JobFactory) -> None:
         self.pid = pid
-        self.ncomp_tab = ncomp_tab
-        self.ext_tab = ext_tab
-        self.comp_lists = comp_lists
-        self.route_cdf = route_cdf
         self.factory = factory
 
 
-_ScalarSampler = Callable[[np.random.Generator, int], np.ndarray]
-
 _ProfileKey = tuple[Optional[int], float, tuple[float, ...]]
-
-
-def _make_scalar_sampler(dist: Distribution) -> Optional[_ScalarSampler]:
-    """A fast draw-for-draw replica of ``n`` scalar ``dist.sample`` calls.
-
-    Non-``block_equivalent`` distributions must be drawn one ``sample``
-    call at a time so the generator state evolves exactly as in the
-    scalar run.  For the distributions that actually appear on that
-    path (the DAS-t-900 mixture: a rejection-sampled truncated
-    lognormal body plus a uniform spike) the generic ``sample``
-    dispatch dominates the draw cost, so this builds a closed-over
-    loop making the *identical* generator calls — ``rng.random`` for
-    the mixture pick compared against the same CDF floats,
-    ``rng.lognormal`` per rejection trial, ``rng.uniform`` for the
-    spike — with no per-draw attribute or ufunc dispatch.  Returns
-    ``None`` when ``dist`` is not covered; callers then fall back to
-    the plain ``sample`` loop.
-    """
-
-    def component(c: Distribution) -> Optional[
-            Callable[[np.random.Generator], float]]:
-        if type(c) is TruncatedLognormal and type(c.base) is Lognormal:
-            mu, sigma = c.base.mu, c.base.sigma
-            lo, hi = c.low, c.high
-
-            def tln(rng: np.random.Generator) -> float:
-                while True:
-                    x = float(rng.lognormal(mu, sigma))
-                    if lo <= x <= hi:
-                        return x
-
-            return tln
-        if type(c) is Lognormal:
-            mu, sigma = c.mu, c.sigma
-            return lambda rng: float(rng.lognormal(mu, sigma))
-        if type(c) is Uniform:
-            lo, hi = c.low, c.high
-            return lambda rng: float(rng.uniform(lo, hi))
-        return None
-
-    if type(dist) is Mixture:
-        funcs = [component(c) for c in dist.components]
-        if any(f is None for f in funcs):
-            return None
-        # Rebuilt with the same cumsum Mixture.__init__ ran, so the
-        # pick comparisons see bit-identical thresholds.
-        cdf_arr = np.cumsum(dist.weights)
-        cdf_arr[-1] = 1.0
-        cdf = [float(x) for x in cdf_arr]
-        last = len(funcs) - 1
-
-        def mixture_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-            out = np.empty(n)
-            random = rng.random
-            for i in range(n):
-                u = random()
-                # searchsorted(cdf, u, side="right") clamped to the
-                # last component, unrolled for the tiny CDF.
-                k = 0
-                while k < last and cdf[k] <= u:
-                    k += 1
-                out[i] = funcs[k](rng)  # type: ignore[misc]
-            return out
-
-        return mixture_sampler
-
-    single = component(dist)
-    if single is None:
-        return None
-
-    def single_sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = single(rng)
-        return out
-
-    return single_sampler
 
 
 class _Lane:
@@ -395,24 +310,13 @@ class BatchLaneKernel:
         self.n_clusters = len(caps)
         self.capacity = sum(caps)
 
-        # -- the shared size support (profiles build tables over it) ------
-        support = getattr(size_distribution, "support", None)
-        if support is None:
+        # The supported model surface: discrete job sizes only.
+        if getattr(size_distribution, "support", None) is None:
             raise BatchBackendError(
                 "batch backend needs a discrete size distribution "
                 "(integer support)"
             )
-        self._support = tuple(int(float(v)) for v in support)
-        self._max_size = max(self._support)
         self._profiles: dict[_ProfileKey, _LaneProfile] = {}
-
-        draw = DEFAULT_DRAW_BATCH
-        self._sizes_blocked = draw > 1 and size_distribution.block_equivalent
-        self._services_blocked = (draw > 1
-                                  and service_distribution.block_equivalent)
-        self._service_sampler = (None if self._services_blocked
-                                 else _make_scalar_sampler(
-                                     service_distribution))
 
         #: GS/SC drain one FCFS queue; LS/LP run the visiting rounds
         #: over ``_nq`` queues, LP with local priority.
@@ -455,38 +359,18 @@ class BatchLaneKernel:
             tuple(float(w) for w in config.routing_weights),
         )
         prof = self._profiles.get(key)
-        if prof is not None:
-            return prof
-        c = self.n_clusters
-        ncomp_tab = np.zeros(self._max_size + 1, dtype=np.int64)
-        ext_tab = np.ones(self._max_size + 1, dtype=np.float64)
-        comp_lists: list[tuple[int, ...]] = [()] * (self._max_size + 1)
-        for s in self._support:
-            if config.component_limit is None:
-                comps: tuple[int, ...] = (s,)
-            else:
-                comps = split_size(s, config.component_limit, c)
-            ncomp_tab[s] = len(comps)
-            comp_lists[s] = comps
-            if len(comps) > 1:
-                ext_tab[s] = float(config.extension_factor)
-        # Routing CDF, built exactly like QueueRouter.
-        w = np.asarray(config.routing_weights, dtype=float)
-        weights = w / w.sum()
-        route_cdf = np.cumsum(weights)
-        route_cdf[-1] = 1.0
-        factory = JobFactory(
-            self.size_distribution,  # type: ignore[arg-type]
-            self.service_distribution,
-            config.component_limit,
-            clusters=c,
-            extension_factor=config.extension_factor,
-            routing_weights=config.routing_weights,
-            streams=StreamFactory(0),
-        )
-        prof = _LaneProfile(len(self._profiles), ncomp_tab, ext_tab,
-                            comp_lists, route_cdf, factory)
-        self._profiles[key] = prof
+        if prof is None:
+            factory = JobFactory(
+                self.size_distribution,  # type: ignore[arg-type]
+                self.service_distribution,
+                config.component_limit,
+                clusters=self.n_clusters,
+                extension_factor=config.extension_factor,
+                routing_weights=config.routing_weights,
+                streams=StreamFactory(0),
+            )
+            prof = self._profiles[key] = _LaneProfile(len(self._profiles),
+                                                       factory)
         return prof
 
     def load(self, slot: int, config: SimulationConfig,
@@ -533,7 +417,8 @@ class BatchLaneKernel:
         seed = int(config.seed)
         draws = self._draws.get(seed)
         if draws is None:
-            draws = self._draws[seed] = _SeedDraws(seed)
+            draws = self._draws[seed] = _SeedDraws(
+                seed, self.size_distribution, self.service_distribution)
         draws.lanes += 1
         lane = _Lane(prof, draws, config, rate,
                      prof.factory.offered_gross_utilization(
@@ -553,38 +438,8 @@ class BatchLaneKernel:
 
     # -- workload generation ---------------------------------------------
 
-    def _draw_chunk(self, draws: _SeedDraws) -> _Chunk:
-        """Draw the seed's next prefetch block of raw draws in scalar
-        order."""
-        n = DEFAULT_DRAW_BATCH
-        size_dist = self.size_distribution
-        service_dist = self.service_distribution
-        # Sizes: block draws only when provably stream-equivalent —
-        # exactly the JobFactory prefetch rule.  Chunks are always the
-        # full block size, so refill boundaries match the scalar
-        # buffer's.
-        if self._sizes_blocked:
-            raw = size_dist.sample_array(draws.sizes, n)
-        else:
-            raw = np.array([size_dist.sample(draws.sizes)
-                            for _ in range(n)], dtype=np.float64)
-        sizes = raw.astype(np.int64)
-        if self._services_blocked:
-            svc = np.asarray(service_dist.sample_array(draws.services, n),
-                             dtype=np.float64)
-        elif self._service_sampler is not None:
-            svc = self._service_sampler(draws.services, n)
-        else:
-            svc = np.array([service_dist.sample(draws.services)
-                            for _ in range(n)], dtype=np.float64)
-        # ``exponential(scale, n)`` is ``scale * standard_exponential``
-        # draw for draw, so each lane scales the shared standard draws
-        # by its own mean and gets its scalar run's inter-arrival times.
-        return (sizes, svc, draws.routing.random(n),
-                draws.iat.standard_exponential(n))
-
     def _next_chunk(self, lane: _Lane) -> None:
-        """Append the lane's next prefetch block of jobs to its tuples.
+        """Append the lane's next chunk of jobs to its tuples.
 
         The block's raw draws come from the seed's shared record,
         drawn there first if no lane of the seed has reached it yet.
@@ -598,10 +453,16 @@ class BatchLaneKernel:
         if index < len(chunks):
             REGISTRY.counter("batch.draws.shared").inc()
         else:
-            chunks.append(self._draw_chunk(draws))
+            # ``exponential(scale, n)`` is ``scale *
+            # standard_exponential`` draw for draw, so each lane scales
+            # the shared standard draws by its own mean and gets its
+            # scalar run's inter-arrival times.
+            chunks.append((*draws.jobs.draw(),
+                           draws.iat.standard_exponential(
+                               DEFAULT_DRAW_BATCH)))
             REGISTRY.counter("batch.draws.chunks").inc()
         sizes, svc, u, std_exp = chunks[index]
-        prof = lane.prof
+        factory = lane.prof.factory
         # Sequential accumulation: the scalar engine chains ``now +
         # delay`` one float add at a time, and so does ``accumulate``;
         # np.cumsum may pairwise-sum, which rounds differently.
@@ -610,31 +471,33 @@ class BatchLaneKernel:
         lane.last_arrival = arr[-1]
         del arr[0]
 
-        # Jobs land in per-lane Python tuples.  The elementwise
-        # products/quotients below are the same float64 IEEE ops the
-        # scalar JobFactory performs, so the tuples hold the exact
-        # scalar values.
-        ext = prof.ext_tab[sizes]
+        # Jobs land in per-lane Python tuples.  The products and
+        # quotients below are the same IEEE double operations the scalar
+        # engine performs, so the tuples hold the exact scalar values.
+        n = len(sizes)
+        size_list = sizes.tolist()
+        ext = np.fromiter(map(factory.extensions.__getitem__, size_list),
+                          np.float64, n)
         gross = (svc * ext).tolist()
         net = (sizes / ext).tolist()
         if self._single:
             # GS/SC ignore the routing draw (drawn for stream parity):
             # (arrival, gross service, net size, total size).
-            lane.jobs.extend(zip(arr, gross, net, sizes.tolist()))
+            lane.jobs.extend(zip(arr, gross, net, size_list))
             return
         # LS/LP append the routing decision: (..., destination queue,
         # multi-component flag).  LS routes every job to its origin
         # cluster's local queue; LP sends multi-component jobs to the
         # global queue (index 0) and the rest to 1 + origin cluster.
-        queues = np.searchsorted(prof.route_cdf, u, side="right")
-        multi = prof.ncomp_tab[sizes] > 1
+        queues = factory.router.queues(u)
+        multi = np.fromiter(map(len, map(factory.components.__getitem__,
+                                         size_list)), np.int64, n) > 1
         if self.policy == "LS":
             qid = queues % self.n_clusters
         else:
             qid = np.where(multi, 0, 1 + queues % self.n_clusters)
         lane.jobs.extend(
-            zip(arr, gross, net, sizes.tolist(), qid.tolist(),
-                multi.tolist()))
+            zip(arr, gross, net, size_list, qid.tolist(), multi.tolist()))
 
     # -- placement, starts and arrivals -------------------------------------
 
@@ -681,7 +544,7 @@ class BatchLaneKernel:
         free = lane.free
         heap = lane.heap
         pid = lane.prof.pid
-        comp_lists = lane.prof.comp_lists
+        components = lane.prof.factory.components
         cache = self._place_cache
         place = self._place
         remember = self._remember
@@ -695,7 +558,7 @@ class BatchLaneKernel:
                 key = (pid, size, *free)
                 alloc = cache.get(key, _MISS)
                 if alloc is _MISS:
-                    alloc = remember(key, place(comp_lists[size], free))
+                    alloc = remember(key, place(components[size], free))
                 if alloc is None:
                     return False
             elif free[qid - base] >= size:
@@ -936,24 +799,11 @@ def run_batch_points(config: SimulationConfig,
     """
     if not seeds:
         raise BatchBackendError("need at least one seed")
-    factory = JobFactory(
-        size_distribution,  # type: ignore[arg-type]
-        service_distribution,
-        config.component_limit,
-        clusters=len(config.capacities),
-        extension_factor=config.extension_factor,
-        routing_weights=config.routing_weights,
-        streams=StreamFactory(0),
-    )
-    if arrival_rate is None:
-        arrival_rate = factory.arrival_rate_for_gross_utilization(
-            offered_gross, config.capacity
-        )
     kernel = BatchLaneKernel(config, size_distribution,
                              service_distribution, len(seeds))
     for slot, seed in enumerate(seeds):
         kernel.load(slot, replace(config, seed=int(seed)),
-                    arrival_rate=arrival_rate)
+                    offered_gross=offered_gross, arrival_rate=arrival_rate)
     while not kernel.idle:
         kernel.step()
     by_slot = dict(kernel.drain_retired())

@@ -15,6 +15,7 @@ data with within-bin interpolation).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,18 +35,20 @@ __all__ = [
     "ContinuousEmpirical",
     "Mixture",
     "Scaled",
+    "sample_exact",
 ]
 
 
 class Distribution:
     """Interface for one-dimensional random variates."""
 
-    #: True when ``sample_array(rng, n)`` consumes the generator's bit
-    #: stream exactly like ``n`` successive ``sample(rng)`` calls, so
-    #: callers may prefetch blocks without changing the draw sequence.
-    #: Conservatively False by default: rejection sampling, interleaved
-    #: multi-draw schemes (mixtures, hyperexponentials) and any
-    #: vectorisation that reorders consumption must not be batched.
+    #: True when ``sample_array(rng, n)`` returns exactly what ``n``
+    #: successive ``sample(rng)`` calls return and leaves the generator
+    #: in the same state, so :func:`sample_exact` may use it.
+    #: Conservatively False by default: vectorised rejection sampling,
+    #: interleaved multi-draw schemes (hyperexponentials) and any
+    #: vectorisation that reorders consumption are fast but not
+    #: stream-exact.
     block_equivalent: bool = False
 
     def sample(self, rng: np.random.Generator) -> float:
@@ -574,6 +577,8 @@ class ContinuousEmpirical(Distribution):
 class Mixture(Distribution):
     """Finite mixture of component distributions."""
 
+    block_equivalent = True
+
     def __init__(self, components: Sequence[Distribution],
                  weights: Sequence[float]) -> None:
         if len(components) != len(weights) or not components:
@@ -591,6 +596,20 @@ class Mixture(Distribution):
         idx = int(np.searchsorted(self._cdf, u, side="right"))
         idx = min(idx, len(self.components) - 1)
         return self.components[idx].sample(rng)
+
+    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # The ``sample`` loop with its lookups hoisted: the same uniform
+        # per draw, the same pick (``bisect_right`` over the same CDF
+        # floats is ``searchsorted(side="right")``, clamped to the last
+        # component) and the same component ``sample`` call.
+        cdf = self._cdf.tolist()
+        samplers = [c.sample for c in self.components]
+        last = len(samplers) - 1
+        random = rng.random
+        out = np.empty(n)
+        for i in range(n):
+            out[i] = samplers[min(bisect_right(cdf, random()), last)](rng)
+        return out
 
     @property
     def mean(self) -> float:
@@ -617,20 +636,20 @@ class Scaled(Distribution):
     multi-component job is its base service time scaled by 1.25.
     """
 
+    # Scaling is a pure post-transform of stream-exact base draws.
+    block_equivalent = True
+
     def __init__(self, base: Distribution, factor: float) -> None:
         if factor <= 0:
             raise ValueError(f"factor must be positive, got {factor!r}")
         self.base = base
         self.factor = float(factor)
-        # Scaling is a pure post-transform, so batchability follows the
-        # base distribution.
-        self.block_equivalent = base.block_equivalent
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.factor * self.base.sample(rng)
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.factor * self.base.sample_array(rng, n)
+        return self.factor * sample_exact(self.base, rng, n)
 
     @property
     def mean(self) -> float:
@@ -642,3 +661,19 @@ class Scaled(Distribution):
 
     def __repr__(self) -> str:
         return f"Scaled({self.base!r}, x{self.factor!r})"
+
+
+def sample_exact(dist: Distribution, rng: np.random.Generator,
+                 n: int) -> np.ndarray:
+    """``n`` draws of ``dist``, exactly as ``n`` ``dist.sample(rng)``
+    calls make them: the same values, the generator left in the same
+    state.
+
+    The vectorised ``sample_array`` when ``dist`` declares
+    ``block_equivalent``, one ``sample`` call per draw otherwise.  Job
+    streams draw through this, so any chunking of them is invisible
+    in the values.
+    """
+    if dist.block_equivalent:
+        return dist.sample_array(rng, n)
+    return np.array([dist.sample(rng) for _ in range(n)], dtype=float)

@@ -20,11 +20,15 @@ sweeps can be parameterised directly by target utilization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from repro.sim.distributions import DiscreteEmpirical, Distribution
+from repro.sim.distributions import (
+    DiscreteEmpirical,
+    Distribution,
+    sample_exact,
+)
 from repro.sim.rng import StreamFactory
 
 from . import stats_model
@@ -33,15 +37,20 @@ from .splitting import split_size
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
-__all__ = ["JobSpec", "JobFactory", "ArrivalProcess", "QueueRouter",
-           "DEFAULT_DRAW_BATCH"]
+__all__ = ["JobSpec", "JobFactory", "JobDraws", "ArrivalProcess",
+           "QueueRouter", "DEFAULT_DRAW_BATCH"]
 
-#: Default block size for prefetching random draws.  Block draws from a
-#: ``block_equivalent`` distribution consume the generator's bit stream
-#: exactly like successive scalar draws, so any batch size (including 1,
-#: which disables prefetching) yields byte-identical workloads — pinned
-#: by tests/test_determinism.py.
+#: Jobs per chunk of a job stream's raw draws (:class:`JobDraws`), and
+#: inter-arrival times per block of an :class:`ArrivalProcess`.  Every
+#: draw is stream-exact (:func:`~repro.sim.distributions.sample_exact`),
+#: so the chunk size never changes a value.
 DEFAULT_DRAW_BATCH = 256
+
+#: One chunk of raw draws: integer sizes, base service times and
+#: routing uniforms, :data:`DEFAULT_DRAW_BATCH` of each.
+DrawChunk = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_V = TypeVar("_V")
 
 
 @dataclass(frozen=True)
@@ -79,52 +88,90 @@ class JobSpec:
         return len(self.components) > 1
 
 
+class JobDraws:
+    """The raw draws of one job stream, one chunk at a time.
+
+    Sizes, base service times and routing uniforms come from the
+    ``workload.sizes``, ``workload.services`` and ``workload.routing``
+    substreams of ``streams``, :data:`DEFAULT_DRAW_BATCH` of each per
+    :meth:`draw`, through
+    :func:`~repro.sim.distributions.sample_exact`.  So the *i*-th
+    chunk is a pure function of (the streams' seed, *i*, the two
+    distributions), and it is what one scalar draw per job would
+    give.  Both engines read jobs from this record:
+    :class:`JobFactory` through its own cursor, the batch kernel
+    through one record per seed whose chunks that seed's lanes share.
+    """
+
+    __slots__ = ("size_distribution", "service_distribution", "sizes",
+                 "services", "routing")
+
+    def __init__(self, size_distribution: Distribution,
+                 service_distribution: Distribution,
+                 streams: StreamFactory) -> None:
+        self.size_distribution = size_distribution
+        self.service_distribution = service_distribution
+        self.sizes = streams.get("workload.sizes")
+        self.services = streams.get("workload.services")
+        self.routing = streams.get("workload.routing")
+
+    def draw(self) -> DrawChunk:
+        """Draw the next chunk: sizes truncated to ``int64``, service
+        times as ``float64``, routing uniforms in [0, 1)."""
+        n = DEFAULT_DRAW_BATCH
+        sizes = sample_exact(self.size_distribution, self.sizes, n)
+        services = sample_exact(self.service_distribution, self.services,
+                                n)
+        return (sizes.astype(np.int64),
+                np.asarray(services, dtype=np.float64),
+                self.routing.random(n))
+
+
 class QueueRouter:
     """Routes arriving jobs to local queues with given probabilities.
 
     The paper studies *balanced* (25% each) and *unbalanced* (one queue
     40%, the others 20%) submission of jobs to the local queues of LS and
-    LP.
+    LP.  This is the one validation of routing weights: both engines
+    route through the router of their :class:`JobFactory`.  A job's
+    queue index is ``searchsorted(cdf, u, side="right")`` of its
+    routing uniform ``u`` (drawn by :class:`JobDraws`); policies take
+    it modulo their cluster count.
     """
 
-    def __init__(self, weights: Sequence[float],
-                 rng: np.random.Generator,
-                 batch: Optional[int] = None):
+    def __init__(self, weights: Sequence[float]):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-D sequence")
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive sum")
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
+            raise ValueError(
+                "weights must be finite and nonnegative with positive sum, "
+                f"got {tuple(weights)!r}"
+            )
         self.weights = w / w.sum()
-        self._cdf = np.cumsum(self.weights)
-        self._cdf[-1] = 1.0
-        self._rng = rng
-        if batch is None:
-            batch = DEFAULT_DRAW_BATCH
-        self._batch = max(1, int(batch))
-        self._buf = np.empty(0)
-        self._pos = 0
+        self.cdf = np.cumsum(self.weights)
+        self.cdf[-1] = 1.0
 
-    def route(self) -> int:
-        """Pick a queue index.
-
-        Uniform draws are prefetched in blocks; ``rng.random(n)``
-        consumes the bit stream exactly like ``n`` scalar
-        ``rng.random()`` calls, so the routed sequence is identical for
-        any batch size.
-        """
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            buf = self._buf = self._rng.random(self._batch)
-            pos = 0
-        self._pos = pos + 1
-        return int(np.searchsorted(self._cdf, buf[pos], side="right"))
+    def queues(self, u: np.ndarray) -> np.ndarray:
+        """The queue index of each routing uniform in ``u``."""
+        return np.searchsorted(self.cdf, u, side="right")
 
     @property
     def num_queues(self) -> int:
         """Number of local queues."""
         return int(self.weights.size)
+
+
+class _PerSize(dict[int, _V]):
+    """A table keyed by job size, filled by ``derive`` on first lookup."""
+
+    def __init__(self, derive: Callable[[int], _V]) -> None:
+        super().__init__()
+        self._derive = derive
+
+    def __missing__(self, size: int) -> _V:
+        value = self[size] = self._derive(size)
+        return value
 
 
 class JobFactory:
@@ -151,11 +198,11 @@ class JobFactory:
         Size of the submitting-user population; users are assigned with
         Zipf-like activity shares (0 disables the user model — every
         job gets user 0).
-    batch:
-        Block size for prefetched random draws (default
-        :data:`DEFAULT_DRAW_BATCH`); 1 disables prefetching.  Only
-        ``block_equivalent`` distributions are ever batched, so the job
-        stream is byte-identical for every batch size.
+
+    Besides the stream itself, a factory holds the tables that shape
+    its jobs, which the batch kernel reads too: :attr:`router`, and
+    :attr:`components` and :attr:`extensions`, keyed by job size and
+    filled on first lookup, so any size distribution works.
     """
 
     def __init__(self,
@@ -166,8 +213,7 @@ class JobFactory:
                  extension_factor: float = stats_model.EXTENSION_FACTOR,
                  routing_weights: Sequence[float] = stats_model.BALANCED_WEIGHTS,
                  streams: Optional[StreamFactory] = None,
-                 num_users: int = 0,
-                 batch: Optional[int] = None):
+                 num_users: int = 0):
         if extension_factor < 1.0:
             raise ValueError(
                 f"extension factor must be >= 1, got {extension_factor!r}"
@@ -178,25 +224,13 @@ class JobFactory:
         self.clusters = clusters
         self.extension_factor = float(extension_factor)
         streams = streams or StreamFactory(None)
-        self._size_rng = streams.get("workload.sizes")
-        self._service_rng = streams.get("workload.services")
-        if batch is None:
-            batch = DEFAULT_DRAW_BATCH
-        self._batch = max(1, int(batch))
-        # Prefetch blocks only from distributions whose block draws are
-        # provably stream-equivalent to scalar draws; everything else
-        # (rejection samplers, mixtures) keeps the scalar path.
-        self._batch_sizes = (self._batch > 1
-                             and size_distribution.block_equivalent)
-        self._batch_services = (self._batch > 1
-                                and service_distribution.block_equivalent)
-        self._size_buf = np.empty(0)
-        self._size_pos = 0
-        self._service_buf = np.empty(0)
-        self._service_pos = 0
-        self.router = QueueRouter(routing_weights,
-                                  streams.get("workload.routing"),
-                                  batch=self._batch)
+        self._draws = JobDraws(size_distribution, service_distribution,
+                               streams)
+        self.router = QueueRouter(routing_weights)
+        #: Component sizes of a job of each size.
+        self.components: _PerSize[tuple[int, ...]] = _PerSize(self._split)
+        #: Service-time multiplier of a job of each size.
+        self.extensions: _PerSize[float] = _PerSize(self._extension)
         self.num_users = int(num_users)
         if self.num_users > 0:
             ranks = np.arange(1, self.num_users + 1, dtype=float)
@@ -205,61 +239,51 @@ class JobFactory:
             self._user_cdf = np.cumsum(self._user_probs)
             self._user_cdf[-1] = 1.0
             self._user_rng = streams.get("workload.users")
+        # The cursor into the current chunk; the first job draws one.
+        self._sizes: list[int] = []
+        self._services: list[float] = []
+        self._queues: list[int] = []
+        self._users: list[int] = []
+        self._pos = DEFAULT_DRAW_BATCH
         self._count = 0
 
-    # -- sampling ----------------------------------------------------------
+    # -- per-size tables ---------------------------------------------------
 
-    def _components_for(self, size: int) -> tuple[int, ...]:
+    def _split(self, size: int) -> tuple[int, ...]:
         if self.component_limit is None:
             return (size,)
         return split_size(size, self.component_limit, self.clusters)
 
-    def _next_user(self) -> int:
-        if self.num_users <= 0:
-            return 0
-        u = self._user_rng.random()
-        return int(np.searchsorted(self._user_cdf, u, side="right"))
+    def _extension(self, size: int) -> float:
+        return self.extension_factor if len(self.components[size]) > 1 else 1.0
+
+    # -- sampling ----------------------------------------------------------
+
+    def _next_chunk(self) -> None:
+        sizes, services, u = self._draws.draw()
+        self._sizes = sizes.tolist()
+        self._services = services.tolist()
+        self._queues = self.router.queues(u).tolist()
+        if self.num_users > 0:
+            self._users = np.searchsorted(
+                self._user_cdf, self._user_rng.random(DEFAULT_DRAW_BATCH),
+                side="right").tolist()
+        else:
+            self._users = [0] * DEFAULT_DRAW_BATCH
+        self._pos = 0
 
     def next_job(self) -> JobSpec:
         """Sample the next job spec."""
-        if self._batch_sizes:
-            pos = self._size_pos
-            buf = self._size_buf
-            if pos >= len(buf):
-                buf = self._size_buf = self.size_distribution.sample_array(
-                    self._size_rng, self._batch
-                )
-                pos = 0
-            self._size_pos = pos + 1
-            size = int(buf[pos])
-        else:
-            size = int(self.size_distribution.sample(self._size_rng))
-        if self._batch_services:
-            pos = self._service_pos
-            buf = self._service_buf
-            if pos >= len(buf):
-                buf = self._service_buf = (
-                    self.service_distribution.sample_array(
-                        self._service_rng, self._batch
-                    )
-                )
-                pos = 0
-            self._service_pos = pos + 1
-            service = float(buf[pos])
-        else:
-            service = float(
-                self.service_distribution.sample(self._service_rng)
-            )
-        spec = JobSpec(
-            index=self._count,
-            size=size,
-            components=self._components_for(size),
-            service_time=service,
-            queue=self.router.route(),
-            user=self._next_user(),
-        )
-        self._count += 1
-        return spec
+        if self._pos == DEFAULT_DRAW_BATCH:
+            self._next_chunk()
+        pos = self._pos
+        self._pos = pos + 1
+        size = self._sizes[pos]
+        index = self._count
+        self._count = index + 1
+        return JobSpec(index, size, self.components[size],
+                       self._services[pos], self._queues[pos],
+                       self._users[pos])
 
     def jobs(self, n: int) -> list[JobSpec]:
         """Sample ``n`` job specs."""
@@ -270,15 +294,9 @@ class JobFactory:
     def expected_gross_work(self) -> float:
         """E[size · extension(size)] · E[service]: mean gross
         processor-seconds demanded per job."""
-        ext = self.extension_factor
-
         def weighted(sizes: np.ndarray) -> np.ndarray:
-            if self.component_limit is None:
-                return sizes
-            multis = np.array(
-                [len(self._components_for(int(s))) > 1 for s in sizes]
-            )
-            return sizes * np.where(multis, ext, 1.0)
+            return sizes * np.array([self.extensions[int(s)]
+                                     for s in sizes])
 
         return (self.size_distribution.expectation(weighted)
                 * self.service_distribution.mean)
@@ -319,10 +337,9 @@ class ArrivalProcess:
     machinery per tick.  The event sequence matches the classic
     process-based formulation exactly — one urgent initialisation event
     at time 0, then per tick the job is submitted *before* the next
-    arrival is scheduled.  Interarrival draws are prefetched in blocks
-    (``rng.exponential(mean, n)`` consumes the bit stream exactly like
-    ``n`` scalar draws), so arrival times are byte-identical for any
-    batch size.
+    arrival is scheduled.  Interarrival times are drawn in blocks of
+    :data:`DEFAULT_DRAW_BATCH` (``rng.exponential(mean, n)`` consumes
+    the bit stream exactly like ``n`` scalar draws).
 
     Parameters
     ----------
@@ -340,16 +357,12 @@ class ArrivalProcess:
         simulation ends).
     rng:
         Random generator for interarrival times.
-    batch:
-        Block size for prefetched interarrival draws (default
-        :data:`DEFAULT_DRAW_BATCH`); 1 disables prefetching.
     """
 
     def __init__(self, sim: "Simulator", factory: JobFactory, rate: float,
                  submit: Callable[[JobSpec], None],
                  limit: Optional[int] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 batch: Optional[int] = None):
+                 rng: Optional[np.random.Generator] = None):
         if rate <= 0:
             raise ValueError(f"arrival rate must be positive, got {rate!r}")
         self.sim = sim
@@ -362,9 +375,6 @@ class ArrivalProcess:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.generated = 0
         self._mean_iat = 1.0 / self.rate
-        if batch is None:
-            batch = DEFAULT_DRAW_BATCH
-        self._batch = max(1, int(batch))
         self._iat_buf = np.empty(0)
         self._iat_pos = 0
         self._tick_callbacks = (self._tick,)
@@ -378,7 +388,7 @@ class ArrivalProcess:
         buf = self._iat_buf
         if pos >= len(buf):
             buf = self._iat_buf = self._rng.exponential(
-                self._mean_iat, self._batch
+                self._mean_iat, DEFAULT_DRAW_BATCH
             )
             pos = 0
         self._iat_pos = pos + 1

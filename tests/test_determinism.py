@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from repro.core import SimulationConfig, run_open_system
+from repro.core import system as system_module
 from repro.core.system import MulticlusterSimulation
 from repro.sim.rng import StreamFactory
 from repro.sim.trace import Tracer
 from repro.workload import WORKLOADS, das_t_900
-from repro.workload import generator as generator_module
-from repro.workload.generator import ArrivalProcess, JobFactory
+from repro.workload.generator import ArrivalProcess, JobFactory, JobSpec
+from repro.workload.splitting import split_size
 
 
 def _one_run(seed: int) -> tuple[bytes, bytes]:
@@ -105,27 +108,59 @@ def _policy_run(policy: str) -> tuple[bytes, str, bytes]:
     return trace_bytes, extras, report_bytes
 
 
-def test_batched_rng_byte_identical_to_scalar_draws(monkeypatch) -> None:
-    """Block-drawn workloads == the scalar draw path, all four policies.
+class _PerDrawJobFactory(JobFactory):
+    """The reference job source: every value is drawn by one scalar call
+    from its named stream as its job is made, and derived on the spot."""
 
-    The workload layer prefetches interarrival, size and routing draws
-    in blocks (see ``DEFAULT_DRAW_BATCH``); batch size 1 is the seed
-    scalar-draw sequence.  Block draws from the same per-stream
-    generator must consume the bit stream identically, so traces,
-    extras counters and reports must match byte for byte — for every
-    policy and for a batch size chosen to not divide the job count
-    evenly (exercising block-boundary refills).
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        streams = kwargs["streams"]
+        self.ref_sizes = streams.get("workload.sizes")
+        self.ref_services = streams.get("workload.services")
+        self.ref_routing = streams.get("workload.routing")
+        weights = np.asarray(kwargs["routing_weights"], dtype=float)
+        self.ref_cdf = np.cumsum(weights / weights.sum())
+        self.ref_cdf[-1] = 1.0
+        self.ref_count = 0
+
+    def next_job(self) -> JobSpec:
+        size = int(self.size_distribution.sample(self.ref_sizes))
+        limit = self.component_limit
+        components = ((size,) if limit is None
+                      else split_size(size, limit, self.clusters))
+        service = float(self.service_distribution.sample(self.ref_services))
+        queue = int(np.searchsorted(self.ref_cdf, self.ref_routing.random(),
+                                    side="right"))
+        spec = JobSpec(self.ref_count, size, components, service, queue)
+        self.ref_count += 1
+        return spec
+
+
+def _per_draw_iat(self: ArrivalProcess) -> float:
+    return float(self._rng.exponential(self._mean_iat))
+
+
+def test_batched_rng_byte_identical_to_scalar_draws(monkeypatch) -> None:
+    """The chunked job source == a per-draw reference, all four policies.
+
+    The workload layer draws sizes, services, routing uniforms and
+    interarrival times in chunks of ``DEFAULT_DRAW_BATCH``.  The
+    reference draws each value with one scalar call when its job is
+    made.  Both consume every stream identically, so traces, extras
+    counters and reports must match byte for byte — over runs long
+    enough to cross a chunk boundary.
     """
 
-    def all_runs(batch: int) -> dict[str, tuple[bytes, str, bytes]]:
-        monkeypatch.setattr(generator_module, "DEFAULT_DRAW_BATCH", batch)
+    def all_runs() -> dict[str, tuple[bytes, str, bytes]]:
         return {policy: _policy_run(policy)
                 for policy in ("GS", "LS", "LP", "SC")}
 
-    scalar = all_runs(1)
-    batched = all_runs(257)
-    assert scalar["GS"][0], "tracer recorded nothing; the runs did not execute"
-    assert scalar == batched
+    chunked = all_runs()
+    monkeypatch.setattr(system_module, "JobFactory", _PerDrawJobFactory)
+    monkeypatch.setattr(ArrivalProcess, "_next_iat", _per_draw_iat)
+    reference = all_runs()
+    assert chunked["GS"][0], "tracer recorded nothing; the runs did not execute"
+    assert chunked == reference
 
 
 def test_run_while_matches_stepwise_drive_loop() -> None:

@@ -32,26 +32,24 @@ def make_factory(limit=16, seed=1, sizes=None, service=None,
 
 class TestQueueRouter:
     def test_balanced_frequencies(self):
-        router = QueueRouter(BALANCED_WEIGHTS, np.random.default_rng(0))
-        picks = [router.route() for _ in range(20_000)]
+        router = QueueRouter(BALANCED_WEIGHTS)
+        picks = router.queues(np.random.default_rng(0).random(20_000))
         for q in range(4):
-            assert np.mean(np.array(picks) == q) == pytest.approx(0.25,
-                                                                  abs=0.02)
+            assert np.mean(picks == q) == pytest.approx(0.25, abs=0.02)
 
     def test_unbalanced_frequencies(self):
-        router = QueueRouter(UNBALANCED_WEIGHTS, np.random.default_rng(0))
-        picks = np.array([router.route() for _ in range(20_000)])
+        router = QueueRouter(UNBALANCED_WEIGHTS)
+        picks = router.queues(np.random.default_rng(0).random(20_000))
         assert np.mean(picks == 0) == pytest.approx(0.40, abs=0.02)
         assert np.mean(picks == 1) == pytest.approx(0.20, abs=0.02)
 
     def test_validation(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            QueueRouter([], rng)
+            QueueRouter([])
         with pytest.raises(ValueError):
-            QueueRouter([-1.0, 2.0], rng)
+            QueueRouter([-1.0, 2.0])
         with pytest.raises(ValueError):
-            QueueRouter([0.0, 0.0], rng)
+            QueueRouter([0.0, 0.0])
 
 
 class TestJobFactory:
