@@ -31,7 +31,7 @@ from repro.runner import (
     task_key,
 )
 from repro.sim.backend import resolve_backend
-from repro.sim.stats import ConfidenceInterval, Tally, student_t_quantile
+from repro.sim.stats import ConfidenceInterval, Tally, t_half_width
 
 from .points import SweepPoint
 from .sweeps import SweepResult
@@ -86,11 +86,7 @@ def _aggregate(offered: float, results: Sequence, level: float
         gross.record(p.gross_utilization)
         net.record(p.net_utilization)
         saturated = saturated or p.saturated
-    if responses.count >= 2:
-        t = student_t_quantile(0.5 + level / 2.0, responses.count - 1)
-        half = t * responses.std / math.sqrt(responses.count)
-    else:
-        half = math.inf
+    half = t_half_width(responses.count, responses.m2, level)
     return ReplicatedPoint(
         offered_gross=offered,
         mean_response=responses.mean,
@@ -316,9 +312,6 @@ def paired_comparison(config_a: SimulationConfig,
     for i in range(replications):
         a, b = results[2 * i], results[2 * i + 1]
         diffs.record(a.mean_response - b.mean_response)
-    if diffs.count >= 2:
-        t = student_t_quantile(0.5 + confidence / 2.0, diffs.count - 1)
-        half = t * diffs.std / math.sqrt(diffs.count)
-    else:
-        half = math.inf
-    return ConfidenceInterval(diffs.mean, half, confidence)
+    return ConfidenceInterval(
+        diffs.mean, t_half_width(diffs.count, diffs.m2, confidence),
+        confidence)

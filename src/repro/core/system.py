@@ -39,6 +39,7 @@ __all__ = [
     "OpenSystemResult",
     "run_open_system",
     "run_constant_backlog",
+    "is_saturated",
 ]
 
 
@@ -248,16 +249,23 @@ def _build(config: SimulationConfig, size_distribution: Distribution,
     return system, factory
 
 
+def is_saturated(backlog_end: int, backlog_reset: int) -> bool:
+    """Whether an open-system run saturated: its backlog at the end of
+    the measurement window exceeds a fixed multiple of its level at the
+    warm-up reset.  Both engines flag their runs with this rule."""
+    return backlog_end > max(50, 3 * backlog_reset + 20)
+
+
 def run_open_system(config: SimulationConfig, size_distribution: Distribution,
                     service_distribution: Distribution, arrival_rate: float,
                     tracer: Optional[Tracer] = None) -> OpenSystemResult:
     """One open-system run: warmup, then measure a fixed job count.
 
-    The run is considered *saturated* when the backlog at the end of the
-    measurement window exceeds a fixed multiple of its starting level —
-    with FCFS queues an unstable system grows its queue without bound
-    (paper §3.1.3), so response-time numbers past that point are
-    reported but flagged.
+    The run is considered *saturated* (:func:`is_saturated`) when the
+    backlog at the end of the measurement window exceeds a fixed
+    multiple of its starting level — with FCFS queues an unstable
+    system grows its queue without bound (paper §3.1.3), so
+    response-time numbers past that point are reported but flagged.
     """
     system, factory = _build(config, size_distribution,
                              service_distribution, tracer)
@@ -285,7 +293,7 @@ def run_open_system(config: SimulationConfig, size_distribution: Distribution,
     sim.run_while(lambda: system.jobs_finished < total_target)
 
     backlog_at_end = system.policy.pending_jobs()
-    saturated = backlog_at_end > max(50, 3 * backlog_at_reset + 20)
+    saturated = is_saturated(backlog_at_end, backlog_at_reset)
     report = system.metrics.report(sim.now)
     return OpenSystemResult(
         config=config,

@@ -3,15 +3,17 @@
 :class:`MetricsRecorder` hooks the three lifecycle callbacks of the
 multicluster system (arrival, start, finish) and maintains:
 
-* response-time statistics — overall, and separately for jobs submitted
-  to local queues vs. the global queue (the breakdown of the paper's
-  Figure 4), with batch means for confidence intervals;
-* exact gross utilization — the time integral of busy processors;
-* exact net utilization — the time integral of the *useful* processing
-  rate: a running job occupies ``size`` processors but does useful work
-  at rate ``size / extension_factor`` (its net demand spread over its
-  extended wall time), so integrating that rate yields net processor-
-  seconds exactly, including partially-complete jobs;
+* the run's :class:`~repro.sim.stats.RunStats` — the record the batch
+  kernel's lanes also keep — with the mean response and its batch-means
+  confidence interval, exact gross utilization (the time integral of
+  busy processors) and exact net utilization: a running job occupies
+  ``size`` processors but does useful work at rate ``size /
+  extension_factor`` (its net demand spread over its extended wall
+  time), so integrating that rate yields net processor-seconds exactly,
+  including partially-complete jobs;
+* mean responses of jobs submitted to local queues vs. the global queue
+  (the breakdown of the paper's Figure 4), response quantiles and the
+  mean bounded slowdown;
 * queue-population statistics (jobs in system, jobs waiting).
 
 Measurement windows: :meth:`reset` discards everything collected so far
@@ -25,7 +27,7 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.sim.quantiles import QuantileSet
-from repro.sim.stats import BatchMeans, Tally, TimeWeighted
+from repro.sim.stats import RunStats, Tally, TimeWeighted
 
 from .slowdown import DEFAULT_THRESHOLD, bounded_slowdown
 
@@ -84,12 +86,10 @@ class MetricsRecorder:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self.capacity = capacity
-        self.batch_size = batch_size
-        self.busy_gross = TimeWeighted(name="busy.gross")
-        self.busy_net_rate = TimeWeighted(name="busy.net-rate")
+        self.stats = RunStats(batch_size)
         self.in_system = TimeWeighted(name="jobs.in-system")
         self.waiting = TimeWeighted(name="jobs.waiting")
-        self._open_window(0.0)
+        self._open_window()
 
     # -- lifecycle hooks ------------------------------------------------------
 
@@ -102,8 +102,7 @@ class MetricsRecorder:
     def on_start(self, job: "Job", time: float) -> None:
         """A job began execution."""
         self.waiting.add(time, -1.0)
-        self.busy_gross.add(time, job.size)
-        self.busy_net_rate.add(time, job.size / job.extension_factor)
+        self.stats.start(time, job.size, job.size / job.extension_factor)
 
     def on_finish(self, job: "Job", time: float, *,
                   global_queue: bool = False) -> None:
@@ -111,9 +110,8 @@ class MetricsRecorder:
         global queue (the LP breakdown of Figure 4)."""
         self.completions += 1
         self.in_system.add(time, -1.0)
-        self.busy_gross.add(time, -job.size)
-        self.busy_net_rate.add(time, -job.size / job.extension_factor)
-        self.response.record(job.response_time)
+        self.stats.finish(time, job.size, job.size / job.extension_factor,
+                          job.response_time)
         self.response_quantiles.record(job.response_time)
         self.bounded_slowdowns.record(bounded_slowdown(
             job.response_time, job.gross_service_time, DEFAULT_THRESHOLD))
@@ -126,16 +124,13 @@ class MetricsRecorder:
 
     def reset(self, time: float) -> None:
         """Discard the warmup transient; measurement restarts at ``time``."""
-        self.busy_gross.reset(time)
-        self.busy_net_rate.reset(time)
         self.in_system.reset(time)
         self.waiting.reset(time)
-        self._open_window(time)
+        self.stats.reset(time)
+        self._open_window()
 
-    def _open_window(self, time: float) -> None:
+    def _open_window(self) -> None:
         # Only what report() reads: every accumulator costs each departure.
-        self._origin = time
-        self.response = BatchMeans(self.batch_size, name="response")
         self.response_local = Tally("response.local")
         self.response_global = Tally("response.global")
         self.response_quantiles = QuantileSet((0.5, 0.95))
@@ -146,17 +141,14 @@ class MetricsRecorder:
     def report(self, time: float,
                confidence: float = 0.95) -> UtilizationReport:
         """Summarise the window from the last reset to ``time``."""
-        elapsed = time - self._origin
-        if elapsed <= 0:
-            raise ValueError("empty measurement window")
-        ci = self.response.confidence_interval(confidence)
-        denom = self.capacity * elapsed
+        gross, net, mean, half = self.stats.summary(time, self.capacity,
+                                                    confidence)
         return UtilizationReport(
-            elapsed=elapsed,
-            gross_utilization=self.busy_gross.integral(time) / denom,
-            net_utilization=self.busy_net_rate.integral(time) / denom,
-            mean_response=self.response.mean,
-            response_ci_half_width=ci.half_width,
+            elapsed=time - self.stats.origin,
+            gross_utilization=gross,
+            net_utilization=net,
+            mean_response=mean,
+            response_ci_half_width=half,
             mean_response_local=(
                 self.response_local.mean if self.response_local.count
                 else math.nan
@@ -174,18 +166,16 @@ class MetricsRecorder:
         )
 
     def gross_utilization(self, time: float) -> float:
-        """Gross utilization of the current window (shortcut)."""
-        elapsed = time - self._origin
-        if elapsed <= 0:
+        """Gross utilization of the current window (nan when empty)."""
+        if time <= self.stats.origin:
             return math.nan
-        return self.busy_gross.integral(time) / (self.capacity * elapsed)
+        return self.stats.summary(time, self.capacity, 0.95)[0]
 
     def net_utilization(self, time: float) -> float:
-        """Net utilization of the current window (shortcut)."""
-        elapsed = time - self._origin
-        if elapsed <= 0:
+        """Net utilization of the current window (nan when empty)."""
+        if time <= self.stats.origin:
             return math.nan
-        return self.busy_net_rate.integral(time) / (self.capacity * elapsed)
+        return self.stats.summary(time, self.capacity, 0.95)[1]
 
     def __repr__(self) -> str:
         return (

@@ -32,6 +32,7 @@ campaign and reattachment can never mix state across campaigns.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Iterator, Optional, Sequence
 
@@ -39,7 +40,7 @@ from repro.core.system import SimulationConfig
 from repro.obs.events import EVENT_SCHEMA, SERVICE_EVENT_SCHEMAS
 from repro.runner import RunTask, campaign_key, task_keys
 from repro.runner.task import config_to_dict
-from repro.workload import WORKLOADS, das_t_900
+from repro.workload import WORKLOADS, QueueRouter, das_t_900
 
 __all__ = [
     "PROTOCOL_SCHEMA",
@@ -101,13 +102,23 @@ def config_from_dict(payload: dict) -> SimulationConfig:
         raise ProtocolError(f"bad config: {exc}") from None
 
 
+@functools.lru_cache(maxsize=64)
+def _check_routing(weights: tuple[float, ...]) -> None:
+    """Raise ``ValueError`` for weights a run's router would refuse
+    (memoized: cells and resubmissions share weights, and a refusal
+    raises, so it is never cached)."""
+    QueueRouter(weights)
+
+
 def normalize_spec(spec: object) -> dict:
     """Validate a submission spec and return its canonical dict form.
 
     Raises :class:`ProtocolError` on any malformation; the canonical
     form always carries the ``schema`` tag and a ``kind``, and every
     cell's config has round-tripped through
-    :func:`config_from_dict` (so downstream code never sees a bad one).
+    :func:`config_from_dict` and had its routing weights accepted by
+    the :class:`~repro.workload.QueueRouter` its runs would build (so
+    downstream code never sees a bad one).
     """
     if not isinstance(spec, dict):
         raise ProtocolError(f"spec must be an object, "
@@ -147,7 +158,12 @@ def normalize_spec(spec: object) -> dict:
         if not isinstance(rho, (int, float)) or isinstance(rho, bool):
             raise ProtocolError(f"cell {i} needs a numeric "
                                 f"'offered_gross'")
-        config = config_to_dict(config_from_dict(cell.get("config")))
+        config = config_from_dict(cell.get("config"))
+        try:
+            _check_routing(config.routing_weights)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"bad config: {exc}") from None
+        config = config_to_dict(config)
         identity = json.dumps({"config": config, "offered_gross": rho},
                               sort_keys=True, separators=(",", ":"))
         if identity in seen:

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.obs import progress as _progress
 from repro.runner import ResultCache, RetryPolicy, execute
-from repro.runner.fused import DEFAULT_FUSED_WIDTH, execute_fused
+from repro.runner.fused import execute_fused
 from repro.runner.task import RunTask
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -68,14 +68,12 @@ class TaskBroker:
 
     def __init__(self, store: ResultCache, *, fleet: int = 1,
                  workers: int = 1,
-                 retry: Optional[RetryPolicy] = None,
-                 fused_width: int = DEFAULT_FUSED_WIDTH) -> None:
+                 retry: Optional[RetryPolicy] = None) -> None:
         if fleet < 1:
             raise ValueError(f"fleet must be >= 1, got {fleet!r}")
         self.store = store
         self.workers = workers
         self.retry = retry
-        self.fused_width = fused_width
         self._semaphore = asyncio.Semaphore(fleet)
         #: key -> future of its in-flight computation.  Only keys with
         #: no cached result appear here; entries are removed as their
@@ -210,7 +208,7 @@ class TaskBroker:
             async with self._semaphore:
                 results = await asyncio.to_thread(
                     execute_fused, tasks, cache=False,
-                    width=self.fused_width, on_result=on_result)
+                    on_result=on_result)
         except BaseException as exc:
             for future in futures.values():
                 if not future.done():

@@ -65,7 +65,6 @@ from repro.runner import (
     match_campaigns,
     record_ledger,
 )
-from repro.runner.fused import DEFAULT_FUSED_WIDTH
 from repro.sim import backend
 
 from .protocol import (
@@ -97,13 +96,11 @@ class ServiceServer:
                  socket_path: "Path | str", *,
                  fleet: int = 1,
                  workers: int = 1,
-                 retry: Optional[RetryPolicy] = None,
-                 fused_width: int = DEFAULT_FUSED_WIDTH) -> None:
+                 retry: Optional[RetryPolicy] = None) -> None:
         self.socket_path = Path(socket_path)
         self.store = ResultCache(Path(cache_dir))
         self.broker = TaskBroker(self.store, fleet=fleet,
-                                 workers=workers, retry=retry,
-                                 fused_width=fused_width)
+                                 workers=workers, retry=retry)
         self.router = HeartbeatRouter()
         self.campaigns_served = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -45,13 +45,14 @@ from .distributions import (
 )
 from .quantiles import P2Quantile, QuantileSet
 from .stats import (
-    BatchMeans,
     ConfidenceInterval,
     Histogram,
+    RunStats,
     Tally,
     TimeWeighted,
     normal_quantile,
     student_t_quantile,
+    t_half_width,
 )
 from .trace import NullTracer, TraceRecord, Tracer
 
@@ -71,8 +72,9 @@ __all__ = [
     "Weibull", "BoundedPareto",
     # stats
     "P2Quantile", "QuantileSet",
-    "Tally", "TimeWeighted", "BatchMeans", "Histogram",
+    "Tally", "TimeWeighted", "RunStats", "Histogram",
     "ConfidenceInterval", "normal_quantile", "student_t_quantile",
+    "t_half_width",
     # tracing
     "Tracer", "NullTracer", "TraceRecord",
 ]

@@ -4,7 +4,7 @@ Campaigns run many configurations — replication seeds, utilization
 grids, component-limit ladders — that share one policy.  This backend
 holds N such runs ("lanes") in one :class:`BatchLaneKernel`.  Each
 lane's whole state — its queues, free processors, running-job
-calendar, queue ring, metric accumulators and run control — is one
+calendar, queue ring, statistics record and run control — is one
 :class:`_Lane` record of plain Python floats, ints and containers.
 numpy only draws the workload, in chunks drawn once per seed and
 shared by that seed's loaded lanes (:class:`_SeedDraws`).
@@ -54,13 +54,11 @@ exactly.  That holds because
   order, LP's local priority — is the shared :mod:`repro.core.rounds`
   code the scalar policies run, over per-lane deques and
   visit/disabled lists;
-* the metric accumulators apply the exact float-operation order of
-  :class:`~repro.sim.stats.TimeWeighted`, Welford's update and the
-  batch-means CI on Python floats, the same IEEE doubles the scalar
-  recorder uses.  The gross and net accumulators share one ``last``
-  timestamp: the scalar recorder always updates both at the same
-  event times, so their timestamps are provably equal and the area
-  accruals are the same float products.
+* each lane keeps its statistics in a :class:`~repro.sim.stats.RunStats`
+  record, the one the scalar recorder keeps, and calls its ``start``,
+  ``finish``, ``reset`` and ``summary`` at the same event times with
+  the same values; the saturation flag is the scalar
+  :func:`~repro.core.system.is_saturated`;
 * lanes share only read-only draws — no queues, generators or
   statistics — and a seed's chunk of raw draws is the same whichever
   lane reaches it first, so a lane's results are independent of which
@@ -83,7 +81,6 @@ discrete size distribution; anything else raises
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import replace
 from heapq import heappop, heappush
@@ -101,11 +98,11 @@ from repro.core.rounds import (
     reenable,
     rounds,
 )
-from repro.core.system import SimulationConfig
+from repro.core.system import SimulationConfig, is_saturated
 from repro.obs.registry import REGISTRY
 from repro.sim.distributions import Distribution
 from repro.sim.rng import StreamFactory
-from repro.sim.stats import student_t_quantile
+from repro.sim.stats import RunStats
 from repro.workload.generator import DEFAULT_DRAW_BATCH, JobDraws, JobFactory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -213,18 +210,14 @@ class _Lane:
     Run parameters, the event state (job tuples, free processors per
     cluster, the running-job calendar heap, the event-sequence
     counter, the next-arrival cursor and its ``(time, sequence)``
-    key), the policy queues and the fused busy-gross / busy-net
-    time-weighted accumulators that every start and departure update.
-    The departure-only statistics live in :meth:`BatchLaneKernel.step`
-    locals, since one call runs the lane from load to retirement.
+    key), the policy queues and the run's statistics record that
+    every start and departure update.
     """
 
     __slots__ = ("prof", "draws", "chunk", "last_arrival", "mean_iat",
-                 "offered", "bsize",
-                 "warm_tgt", "total_tgt",
+                 "offered", "warm_tgt", "total_tgt",
                  "jobs", "free", "heap", "eid", "now", "next_job", "na_t",
-                 "na_eid", "qs", "visit", "disabled", "enabled",
-                 "g_val", "n_val", "g_area", "n_area", "last")
+                 "na_eid", "qs", "visit", "disabled", "enabled", "stats")
 
     def __init__(self, prof: _LaneProfile, draws: _SeedDraws,
                  config: SimulationConfig, rate: float, offered: float,
@@ -237,7 +230,6 @@ class _Lane:
         self.last_arrival = 0.0
         self.mean_iat = 1.0 / rate
         self.offered = offered
-        self.bsize = int(config.batch_size)
         self.warm_tgt = int(config.warmup_jobs)
         self.total_tgt = int(config.warmup_jobs + config.measured_jobs)
         self.jobs: list[tuple] = []
@@ -259,11 +251,7 @@ class _Lane:
         #: locals.
         self.qs: list[deque[int]] = [deque() for _ in range(nq)]
         self.visit, self.disabled, self.enabled = new_ring(nq)
-        self.g_val = 0.0
-        self.n_val = 0.0
-        self.g_area = 0.0
-        self.n_area = 0.0
-        self.last = 0.0
+        self.stats = RunStats(int(config.batch_size))
 
 
 class BatchLaneKernel:
@@ -537,8 +525,8 @@ class BatchLaneKernel:
         1, since LP's global queue, id 0, holds only multi-component
         jobs).  A fit starts the job at ``lane.now``: it takes the
         processors, pushes the departure under the next sequence
-        number and applies the fused TimeWeighted add in the scalar
-        recorder's order.
+        number and records the start in the lane's statistics, as the
+        scalar recorder's ``on_start`` does.
         """
         jobs = lane.jobs
         free = lane.free
@@ -550,6 +538,7 @@ class BatchLaneKernel:
         remember = self._remember
         anywhere = self._single
         base = int(self._lp)
+        start = lane.stats.start
 
         def try_start(qid: int, head: int) -> bool:
             jt = jobs[head]
@@ -572,14 +561,7 @@ class BatchLaneKernel:
             lane.eid = eid
             net = jt[2]
             heappush(heap, (now + jt[1], eid, jt[0], size, net, alloc))
-            last = lane.last
-            if now != last:  # simlint: disable=SIM002 -- zero-width accrual adds exactly +0.0; eliding it is bit-exact
-                a_dt = now - last
-                lane.g_area += lane.g_val * a_dt
-                lane.n_area += lane.n_val * a_dt
-                lane.last = now
-            lane.g_val += size
-            lane.n_val += net
+            start(now, size, net)
             return True
 
         return try_start
@@ -653,15 +635,13 @@ class BatchLaneKernel:
         order beyond its own: each event is the earlier, in ``(time,
         sequence)`` order, of the lane's next arrival and its heap top.
         An arrival runs the policy's arrival burst up to the heap top.
-        A departure pops and releases, applies
-        ``MetricsRecorder.on_finish`` field for field (``in_system``
-        and the diagnostic tallies never reach ``SweepPoint`` and are
-        omitted), runs the policy reaction (GS/SC drain; LS/LP
-        re-enable, then rounds), then checks the scalar ``run_while``
-        predicates — warm-up reset, then termination — exactly in the
-        scalar order.  The reaction's starts happen at the departure
-        time just accrued to, so their TimeWeighted adds are the
-        elided zero-width case of the start's accrual.
+        A departure pops and releases, records the departure in the
+        lane's statistics as ``MetricsRecorder.on_finish`` does
+        (``in_system`` and the diagnostic tallies never reach
+        ``SweepPoint`` and are omitted), runs the policy reaction
+        (GS/SC drain; LS/LP re-enable, then rounds), then checks the
+        scalar ``run_while`` predicates — warm-up reset, then
+        termination — exactly in the scalar order.
         """
         if not self._order:
             return
@@ -678,19 +658,12 @@ class BatchLaneKernel:
         enabled = lane.enabled
         heap = lane.heap
         free = lane.free
-        bsize = lane.bsize
+        stats = lane.stats
+        finish = stats.finish
         warm = lane.warm_tgt
         total = lane.total_tgt
-        origin = 0.0
         backlog_reset = 0
         finished = 0
-        resp_cnt = 0
-        resp_mean = 0.0
-        batch_sum = 0.0
-        in_batch = 0
-        b_cnt = 0
-        b_mean = 0.0
-        b_m2 = 0.0
         while True:
             if not heap:
                 burst(lane, _INF, try_start)
@@ -706,25 +679,7 @@ class BatchLaneKernel:
             _, _, arr_t, size, net, alloc = heappop(heap)
             for ci, comp in alloc:
                 free[ci] += comp
-            dt = dep_t - lane.last
-            lane.g_area += lane.g_val * dt
-            lane.n_area += lane.n_val * dt
-            lane.last = dep_t
-            lane.g_val -= size
-            lane.n_val -= net
-            resp = dep_t - arr_t
-            resp_cnt += 1
-            resp_mean += (resp - resp_mean) / resp_cnt
-            batch_sum += resp
-            in_batch += 1
-            if in_batch == bsize:
-                bval = batch_sum / bsize
-                b_cnt += 1
-                bdelta = bval - b_mean
-                b_mean += bdelta / b_cnt
-                b_m2 += bdelta * (bval - b_mean)
-                in_batch = 0
-                batch_sum = 0.0
+            finish(dep_t, size, net, dep_t - arr_t)
             finished += 1
             lane.now = dep_t
             if single:
@@ -736,45 +691,23 @@ class BatchLaneKernel:
             # warmup_jobs == 0 the scalar run resets at t=0 before any
             # event, which is exactly the initial state.
             if finished == warm:
-                origin = dep_t
-                lane.g_area = 0.0
-                lane.n_area = 0.0
-                lane.last = dep_t
-                resp_cnt = 0
-                resp_mean = 0.0
-                batch_sum = 0.0
-                in_batch = 0
-                b_cnt = 0
-                b_mean = 0.0
-                b_m2 = 0.0
+                stats.reset(dep_t)
                 backlog_reset = self._backlog(lane)
             if finished >= total:
                 break
 
         # The finished lane's statistics, exactly as the scalar
         # engine's SweepPoint.
-        confidence = 0.95
-        elapsed = dep_t - origin
-        if elapsed <= 0:
-            raise ValueError("empty measurement window")
-        denom = self.capacity * elapsed
-        tail = dep_t - lane.last
-        if b_cnt < 2:
-            half = math.inf
-        else:
-            t_quant = student_t_quantile(0.5 + confidence / 2.0, b_cnt - 1)
-            std = math.sqrt(b_m2 / (b_cnt - 1))
-            half = t_quant * std / math.sqrt(b_cnt)
-        point = SweepPoint(
+        gross, net_util, mean, half = stats.summary(dep_t, self.capacity,
+                                                    0.95)
+        self._retired.append((slot, SweepPoint(
             offered_gross=lane.offered,
-            gross_utilization=(lane.g_area + lane.g_val * tail) / denom,
-            net_utilization=(lane.n_area + lane.n_val * tail) / denom,
-            mean_response=resp_mean if resp_cnt else math.nan,
+            gross_utilization=gross,
+            net_utilization=net_util,
+            mean_response=mean,
             ci_half_width=half,
-            saturated=(self._backlog(lane)
-                       > max(50, 3 * backlog_reset + 20)),
-        )
-        self._retired.append((slot, point))
+            saturated=is_saturated(self._backlog(lane), backlog_reset),
+        )))
         draws = lane.draws
         draws.lanes -= 1
         if not draws.lanes:

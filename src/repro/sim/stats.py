@@ -7,9 +7,10 @@ Three collector types cover steady-state output analysis:
 * :class:`TimeWeighted` — time-average of a piecewise-constant signal
   (queue lengths, busy processors): the integral of the signal divided by
   elapsed time, with support for resetting at the end of a warmup period.
-* :class:`BatchMeans` — batch-means confidence intervals for the mean of a
-  correlated stationary sequence, the standard method for steady-state
-  simulation output (Law & Kelton ch. 9).
+* :class:`RunStats` — the three measured numbers of one run (gross and
+  net utilization, mean response with its batch-means confidence
+  interval, Law & Kelton ch. 9), written once for the scalar recorder
+  and the batch kernel's lanes.
 
 Student-t quantiles are computed with the Cornish–Fisher expansion of the
 t distribution around the normal quantile (Abramowitz & Stegun 26.7.5),
@@ -27,10 +28,11 @@ import numpy as np
 __all__ = [
     "Tally",
     "TimeWeighted",
-    "BatchMeans",
+    "RunStats",
     "Histogram",
     "normal_quantile",
     "student_t_quantile",
+    "t_half_width",
     "ConfidenceInterval",
 ]
 
@@ -75,7 +77,8 @@ class Tally:
     """Observation statistics: count, mean, variance, extrema.
 
     Uses Welford's online algorithm so it is numerically stable for long
-    runs and never stores the observations.
+    runs and never stores the observations; ``m2`` is its running sum of
+    squared deviations from the mean.
     """
 
     def __init__(self, name: str = "") -> None:
@@ -86,7 +89,7 @@ class Tally:
         """Forget all observations (e.g. at the end of warmup)."""
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
+        self.m2 = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
         self.total = 0.0
@@ -97,7 +100,7 @@ class Tally:
         self.total += value
         delta = value - self._mean
         self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+        self.m2 += delta * (value - self._mean)
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:
@@ -118,7 +121,7 @@ class Tally:
         """Unbiased sample variance (nan for < 2 observations)."""
         if self.count < 2:
             return math.nan
-        return self._m2 / (self.count - 1)
+        return self.m2 / (self.count - 1)
 
     @property
     def std(self) -> float:
@@ -211,68 +214,105 @@ class TimeWeighted:
         return f"<TimeWeighted{label} value={self._value:.6g}>"
 
 
-class BatchMeans:
-    """Batch-means estimator for the mean of a correlated sequence.
+class RunStats:
+    """The measured statistics of one run, written once for both engines.
 
-    Observations are grouped into fixed-size batches; batch averages are
-    treated as (approximately) independent normal samples, yielding a
-    Student-t confidence interval.  Choose the batch size large relative
-    to the autocorrelation time (thousands of jobs for queueing sims).
+    A run's results are its gross and net utilization and its mean
+    response with a batch-means CI half width.  The scalar
+    :class:`~repro.metrics.recorder.MetricsRecorder` and every lane of
+    the batch kernel (:mod:`repro.sim.batch`) keep one record and call
+    :meth:`start` and :meth:`finish` as jobs start and depart,
+    :meth:`reset` at the end of warm-up (areas, responses and batches
+    restart; the busy levels are kept) and :meth:`summary` at the end,
+    so both engines compute those numbers with the same float
+    operations in the same order.  The busy levels are piecewise
+    constant and accrue as :class:`TimeWeighted` does; responses feed
+    Welford's mean and fixed-size batches, whose means feed a Welford
+    mean and M2.
+
+    Gross and net share one ``last`` timestamp: every start and every
+    departure changes both levels at the same instant, so two separate
+    :class:`TimeWeighted` clocks would always be equal and the accruals
+    are the same float products.  An event at ``last`` would accrue a
+    zero-width area, adding exactly zero, so the accrual is skipped
+    there; the areas are bit-identical either way.
     """
 
-    def __init__(self, batch_size: int, name: str = "") -> None:
+    __slots__ = ("batch_size", "gross", "net", "gross_area", "net_area",
+                 "last", "origin", "count", "mean", "batch_sum", "in_batch",
+                 "batches", "batch_mean", "batch_m2")
+
+    def __init__(self, batch_size: int) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
         self.batch_size = int(batch_size)
-        self.name = name
-        self._in_batch = 0
-        self._batch_sum = 0.0
-        self.batches = Tally(f"{name}.batches")
-        self.observations = Tally(f"{name}.observations")
+        #: Busy processors and their useful-work rate right now.
+        self.gross = 0.0
+        self.net = 0.0
+        self.reset(0.0)
 
-    def record(self, value: float) -> None:
-        """Add one observation, closing a batch when full."""
-        self.observations.record(value)
-        self._batch_sum += value
-        self._in_batch += 1
-        if self._in_batch == self.batch_size:
-            self.batches.record(self._batch_sum / self.batch_size)
-            self._in_batch = 0
-            self._batch_sum = 0.0
+    def start(self, now: float, size: float, net: float) -> None:
+        """A job of ``size`` processors and net rate ``net`` starts."""
+        last = self.last
+        if now > last:
+            dt = now - last
+            self.gross_area += self.gross * dt
+            self.net_area += self.net * dt
+            self.last = now
+        elif now < last:
+            raise ValueError(f"time moved backwards: {now!r} < {last!r}")
+        self.gross += size
+        self.net += net
 
-    @property
-    def count(self) -> int:
-        """Total observations recorded."""
-        return self.observations.count
+    def finish(self, now: float, size: float, net: float,
+               response: float) -> None:
+        """That job departs, ``response`` after its arrival."""
+        self.start(now, -size, -net)
+        count = self.count + 1
+        self.count = count
+        self.mean += (response - self.mean) / count
+        self.batch_sum += response
+        self.in_batch += 1
+        if self.in_batch == self.batch_size:
+            value = self.batch_sum / self.batch_size
+            batches = self.batches + 1
+            self.batches = batches
+            delta = value - self.batch_mean
+            self.batch_mean += delta / batches
+            self.batch_m2 += delta * (value - self.batch_mean)
+            self.in_batch = 0
+            self.batch_sum = 0.0
 
-    @property
-    def num_batches(self) -> int:
-        """Completed batches."""
-        return self.batches.count
+    def reset(self, now: float) -> None:
+        """Restart measurement at ``now``, keeping the busy levels."""
+        self.gross_area = 0.0
+        self.net_area = 0.0
+        self.last = now
+        self.origin = now
+        self.count = 0
+        self.mean = 0.0
+        self.batch_sum = 0.0
+        self.in_batch = 0
+        self.batches = 0
+        self.batch_mean = 0.0
+        self.batch_m2 = 0.0
 
-    @property
-    def mean(self) -> float:
-        """Grand mean over all observations."""
-        return self.observations.mean
-
-    def confidence_interval(self, level: float = 0.95) -> ConfidenceInterval:
-        """Student-t CI on the mean from the completed batches.
-
-        With fewer than 2 completed batches the half width is infinite —
-        a loud signal that the run was too short.
-        """
-        k = self.batches.count
-        if k < 2:
-            return ConfidenceInterval(self.mean, math.inf, level)
-        t = student_t_quantile(0.5 + level / 2.0, k - 1)
-        half = t * self.batches.std / math.sqrt(k)
-        return ConfidenceInterval(self.batches.mean, half, level)
-
-    def __repr__(self) -> str:
-        return (
-            f"<BatchMeans n={self.count} batches={self.num_batches} "
-            f"mean={self.mean:.6g}>"
-        )
+    def summary(self, now: float, capacity: int, level: float
+                ) -> tuple[float, float, float, float]:
+        """Gross and net utilization of ``capacity`` processors, the mean
+        response (nan without departures) and its CI half width at
+        ``level``, over the window from the last reset to ``now``."""
+        elapsed = now - self.origin
+        if elapsed <= 0:
+            raise ValueError("empty measurement window")
+        tail = now - self.last
+        if tail < 0:
+            raise ValueError(f"time moved backwards: {now!r} < {self.last!r}")
+        denom = capacity * elapsed
+        return ((self.gross_area + self.gross * tail) / denom,
+                (self.net_area + self.net * tail) / denom,
+                self.mean if self.count else math.nan,
+                t_half_width(self.batches, self.batch_m2, level))
 
 
 class Histogram:
@@ -376,3 +416,16 @@ def student_t_quantile(p: float, df: int) -> float:
     g4 = (79 * x**9 + 776 * x**7 + 1482 * x**5 - 1920 * x**3 - 945 * x) / 92160.0
     n = float(df)
     return x + g1 / n + g2 / n**2 + g3 / n**3 + g4 / n**4
+
+
+def t_half_width(count: int, m2: float, level: float) -> float:
+    """Student-t half width at ``level`` of the mean of ``count`` samples
+    whose sum of squared deviations is ``m2``.
+
+    With fewer than 2 samples the half width is infinite — a loud signal
+    that the run was too short.
+    """
+    if count < 2:
+        return math.inf
+    t = student_t_quantile(0.5 + level / 2.0, count - 1)
+    return t * math.sqrt(m2 / (count - 1)) / math.sqrt(count)

@@ -8,7 +8,7 @@ import pytest
 from repro.core import Job
 from repro.metrics import MetricsRecorder, SlowdownTracker
 from repro.sim.quantiles import P2Quantile, QuantileSet
-from repro.sim.stats import BatchMeans, Tally, TimeWeighted
+from repro.sim.stats import Tally, TimeWeighted, student_t_quantile
 from repro.workload import JobSpec
 
 
@@ -122,6 +122,23 @@ class TestWindows:
         with pytest.raises(ValueError):
             rec.report(0.0)
 
+    def test_departure_before_the_last_start_rejected(self):
+        # The finish passes the in-system signal (last moved at t=1)
+        # but precedes the busy levels' last change at t=10.
+        rec = MetricsRecorder(capacity=128)
+        a, b = job(size=16), job(size=16)
+        rec.on_arrival(a, 0.0)
+        rec.on_arrival(b, 1.0)
+        a.start(2.0, [(0, 16)])
+        rec.on_start(a, 2.0)
+        b.start(10.0, [(1, 16)])
+        rec.on_start(b, 10.0)
+        a.finish(5.0)
+        with pytest.raises(ValueError, match="backwards"):
+            rec.on_finish(a, 5.0)
+        with pytest.raises(ValueError, match="backwards"):
+            rec.gross_utilization(5.0)
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             MetricsRecorder(capacity=0)
@@ -151,7 +168,10 @@ class TestReport:
 class _ReferenceRecorder:
     """The recorder as it was before it kept only what it reports: the
     default P² ladder, a full :class:`SlowdownTracker` and a wait tally
-    on every departure.  ``MetricsRecorder`` must report the same."""
+    on every departure.  It keeps its busy levels in two
+    :class:`TimeWeighted` and its batch means in two :class:`Tally`, so
+    it is independent of the ``RunStats`` record the recorder keeps.
+    ``MetricsRecorder`` must report the same."""
 
     def __init__(self, capacity, batch_size=500):
         self.capacity = capacity
@@ -177,6 +197,12 @@ class _ReferenceRecorder:
         self.busy_gross.add(time, -job.size)
         self.busy_net_rate.add(time, -job.size / job.extension_factor)
         self.response.record(job.response_time)
+        self.batch_sum += job.response_time
+        self.in_batch += 1
+        if self.in_batch == self.batch_size:
+            self.batches.record(self.batch_sum / self.batch_size)
+            self.batch_sum = 0.0
+            self.in_batch = 0
         self.quantiles.record(job.response_time)
         self.slowdowns.record_job(job)
         self.wait.record(job.wait_time)
@@ -188,13 +214,23 @@ class _ReferenceRecorder:
         for signal in (self.busy_gross, self.busy_net_rate,
                        self.in_system, self.waiting):
             signal.reset(time)
-        self.response = BatchMeans(self.batch_size)
+        self.response = Tally()
+        self.batches = Tally()
+        self.batch_sum = 0.0
+        self.in_batch = 0
         self.response_local = Tally()
         self.response_global = Tally()
         self.quantiles = QuantileSet()
         self.slowdowns = SlowdownTracker()
         self.wait = Tally()
         self.completions = 0
+
+    def half_width(self, level=0.95):
+        k = self.batches.count
+        if k < 2:
+            return math.inf
+        t = student_t_quantile(0.5 + level / 2.0, k - 1)
+        return t * self.batches.std / math.sqrt(k)
 
     def report(self, time):
         elapsed = time - self.origin
@@ -204,8 +240,7 @@ class _ReferenceRecorder:
             gross_utilization=self.busy_gross.integral(time) / denom,
             net_utilization=self.busy_net_rate.integral(time) / denom,
             mean_response=self.response.mean,
-            response_ci_half_width=(
-                self.response.confidence_interval(0.95).half_width),
+            response_ci_half_width=self.half_width(),
             mean_response_local=self.response_local.mean,
             mean_response_global=self.response_global.mean,
             response_p50=self.quantiles[0.5],

@@ -10,6 +10,7 @@ never resume a one-shot campaign.
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -98,6 +99,22 @@ class TestNormalizeSpec:
     def test_duplicate_cells_rejected(self):
         with pytest.raises(ProtocolError, match="duplicates"):
             sweep_spec("x", small_config(), (0.4, 0.4))
+
+    @pytest.mark.parametrize("weights", [
+        (math.nan, 1.0, 1.0, 1.0),
+        (math.inf, 1.0, 1.0, 1.0),
+        (-1.0, 1.0, 1.0, 1.0),
+    ])
+    def test_bad_routing_weights_rejected(self, weights):
+        # The run's QueueRouter would refuse them; the spec must fail at
+        # submission, not as a failed campaign, also behind a good cell.
+        good = small_config("LS")
+        bad = small_config("LS", routing_weights=weights)
+        with pytest.raises(ProtocolError, match="bad config: weights"):
+            normalize_spec({"label": "x",
+                            "cells": [{"config": config_to_dict(config),
+                                       "offered_gross": 0.4}
+                                      for config in (good, bad)]})
 
 
 class TestCampaignIdentity:

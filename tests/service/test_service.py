@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -146,6 +147,15 @@ class TestSubmit:
         with pytest.raises(ServiceError, match="cells"):
             collect_error = client.submit({"label": "x", "cells": []})
             list(collect_error)  # pragma: no cover - raise is in submit
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
+    def test_bad_routing_weights_rejected_at_submission(self, client,
+                                                        weight):
+        config = small_config("LS", routing_weights=(weight, 1, 1, 1))
+        with pytest.raises(ServiceError, match="bad config: weights"):
+            client.submit({"label": "x",
+                           "cells": [{"config": config_to_dict(config),
+                                      "offered_gross": 0.4}]})
 
 
 class TestAttach:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
-    BatchMeans,
     DiscreteEmpirical,
+    RunStats,
     Simulator,
     Tally,
     TimeWeighted,
@@ -107,13 +107,13 @@ def test_time_weighted_mean_is_within_signal_range(steps):
     st.integers(min_value=1, max_value=20),
 )
 def test_batch_means_grand_mean_matches_tally(values, batch):
-    bm = BatchMeans(batch_size=batch)
+    stats = RunStats(batch)
     t = Tally()
     for v in values:
-        bm.record(v)
+        stats.finish(0.0, 0, 0.0, v)
         t.record(v)
-    assert math.isclose(bm.mean, t.mean, rel_tol=1e-9, abs_tol=1e-9)
-    assert bm.num_batches == len(values) // batch
+    assert math.isclose(stats.mean, t.mean, rel_tol=1e-9, abs_tol=1e-9)
+    assert stats.batches == len(values) // batch
 
 
 @given(

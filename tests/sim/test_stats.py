@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from repro.sim import (
-    BatchMeans,
+    ConfidenceInterval,
     Histogram,
+    RunStats,
     Tally,
     TimeWeighted,
     normal_quantile,
     student_t_quantile,
+    t_half_width,
 )
 
 
@@ -107,29 +109,42 @@ class TestTimeWeighted:
         assert math.isnan(tw.mean(0.0))
 
 
+def _responses(batch_size, values):
+    """A :class:`RunStats` fed ``values`` as the responses of zero-size
+    departures at one instant, so only its response half moves."""
+    stats = RunStats(batch_size)
+    for v in values:
+        stats.finish(0.0, 0, 0.0, v)
+    return stats
+
+
+def _batch_ci(stats, level=0.95):
+    return ConfidenceInterval(
+        stats.batch_mean,
+        t_half_width(stats.batches, stats.batch_m2, level), level)
+
+
 class TestBatchMeans:
+    """Batch means on the response half of :class:`RunStats`."""
+
     def test_batching(self):
-        bm = BatchMeans(batch_size=3)
-        for v in [1, 2, 3, 4, 5, 6, 7]:
-            bm.record(v)
-        assert bm.count == 7
-        assert bm.num_batches == 2
-        assert bm.batches.mean == pytest.approx((2 + 5) / 2)
+        stats = _responses(3, [1, 2, 3, 4, 5, 6, 7])
+        assert stats.count == 7
+        assert stats.batches == 2
+        assert stats.batch_mean == pytest.approx((2 + 5) / 2)
+        assert stats.mean == pytest.approx(4.0)
 
     def test_ci_covers_true_mean_for_iid_data(self):
         rng = np.random.default_rng(42)
-        bm = BatchMeans(batch_size=100)
-        for v in rng.exponential(10.0, 20_000):
-            bm.record(v)
-        ci = bm.confidence_interval(0.95)
+        ci = _batch_ci(_responses(100, rng.exponential(10.0, 20_000)))
         assert 10.0 in ci
         assert ci.half_width < 1.0
 
     def test_ci_infinite_with_too_few_batches(self):
-        bm = BatchMeans(batch_size=100)
-        bm.record(1.0)
-        ci = bm.confidence_interval()
-        assert math.isinf(ci.half_width)
+        stats = _responses(100, [1.0])
+        assert math.isinf(_batch_ci(stats).half_width)
+        *_, half = stats.summary(1.0, 1, 0.95)
+        assert math.isinf(half)
 
     def test_ci_coverage_rate(self):
         # Across many replications, the 90% CI must cover the true mean
@@ -138,22 +153,17 @@ class TestBatchMeans:
         reps = 200
         for rep in range(reps):
             rng = np.random.default_rng(rep)
-            bm = BatchMeans(batch_size=50)
-            for v in rng.normal(5.0, 2.0, 1000):
-                bm.record(v)
-            if 5.0 in bm.confidence_interval(0.90):
+            stats = _responses(50, rng.normal(5.0, 2.0, 1000))
+            if 5.0 in _batch_ci(stats, 0.90):
                 covered += 1
         assert 0.82 * reps <= covered <= 0.97 * reps
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
-            BatchMeans(0)
+            RunStats(0)
 
     def test_ci_properties(self):
-        bm = BatchMeans(batch_size=2)
-        for v in [1, 2, 3, 4, 5, 6]:
-            bm.record(v)
-        ci = bm.confidence_interval(0.95)
+        ci = _batch_ci(_responses(2, [1, 2, 3, 4, 5, 6]))
         assert ci.low == pytest.approx(ci.mean - ci.half_width)
         assert ci.high == pytest.approx(ci.mean + ci.half_width)
         assert ci.relative_width > 0
